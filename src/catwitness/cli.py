@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -104,13 +103,6 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _alpha_list(args):
     if args.alpha:
         out = []
@@ -144,7 +136,7 @@ def cmd_chi(args) -> int:
                     f"oracle discrepancy {delta:g} at alpha={alpha}")
         return cells
 
-    rows = _pmap(row, alphas, args.threads)
+    rows = [row(alpha) for alpha in alphas]
     header = "alpha_re,alpha_im,chi_re,chi_im,chiN_re,chiN_im"
     if args.verify:
         header += ",oracle_delta"
@@ -202,7 +194,7 @@ def cmd_ptmin(args) -> int:
         return entanglement.ppt_min_eig(
             state, entanglement.standard_settings(xi0, eps))
 
-    values = _pmap(cell, cells, args.threads)
+    values = [cell(point) for point in cells]
     lines = ["xi0,eps,lambda_min"]
     lines += [f"{_fmt(x)},{_fmt(e)},{_fmt(v)}"
               for (x, e), v in zip(cells, values)]
@@ -222,7 +214,7 @@ def cmd_witness(args) -> int:
             state = states.entangled_cat(xi0, +1)
         return entanglement.witness_expectation(state, wd)
 
-    values = _pmap(cell, xs, args.threads)
+    values = [cell(xi0) for xi0 in xs]
     lines = ["xi0,expectation"]
     lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, values)]
     _write(args, "\n".join(lines) + "\n")
@@ -296,14 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
         if grid:
             p.add_argument("--grid", help='"min:max:step[,min:max:step]"')
         p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--verify", action="store_true",
-                       help="cross-check against the Fock-space oracle")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--format", choices=["csv", "json"], default=None)
 
     p = sub.add_parser("chi", help="characteristic function on points or a grid")
     common(p)
+    p.add_argument("--verify", action="store_true",
+                   help="cross-check against the Fock-space oracle")
     p.add_argument("--alpha", action="append",
                    help="displacement re[/im]; repeatable")
     p.set_defaults(fn=cmd_chi)
@@ -339,9 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ramsey", help="outcome probabilities and conditional "
                                       "states of one Ramsey measurement")
     common(p, grid=False)
+    p.add_argument("--verify", action="store_true",
+                   help="cross-check the chi reconstruction from two "
+                        "modular measurements")
     p.add_argument("--alpha", action="append", help="displacement re[/im]")
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--shots", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the --shots sampling")
     p.set_defaults(fn=cmd_ramsey)
 
     p = sub.add_parser("prepare", help="two-mode conditional preparation")

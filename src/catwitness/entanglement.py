@@ -51,11 +51,18 @@ class DisplacementWord:
 IDENTITY_WORD = DisplacementWord(1.0, 0.0, 0.0)
 
 
+def _product_phase(x1: complex, y1: complex, x2: complex,
+                   y2: complex) -> complex:
+    """e^{i Im(x1 y1* + x2 y2*)}, the phase of D(x1)D(y1) x D(x2)D(y2) by
+    the product rule D(x)D(y) = e^{i Im(x y*)} D(x + y)."""
+    return cmath.exp(1j * ((x1 * y1.conjugate()).imag
+                           + (x2 * y2.conjugate()).imag))
+
+
 def word_product(a: DisplacementWord, b: DisplacementWord) -> DisplacementWord:
     """Operator product a.b via D(x)D(y) = e^{i Im(x y*)} D(x + y) per mode."""
-    phase = a.phase * b.phase * cmath.exp(
-        1j * ((a.amp1 * b.amp1.conjugate()).imag
-              + (a.amp2 * b.amp2.conjugate()).imag))
+    phase = a.phase * b.phase * _product_phase(a.amp1, b.amp1,
+                                               a.amp2, b.amp2)
     # renormalize the modulus; rounding drift otherwise accumulates
     phase /= abs(phase)
     return DisplacementWord(phase, a.amp1 + b.amp1, a.amp2 + b.amp2)
@@ -112,26 +119,44 @@ def _canonical_point(a1: complex, a2: complex):
     return key if key >= neg else neg
 
 
+def _gram_words(mode1, mode2):
+    """(a, b, phase, u, v) with V_a^dag V_b = phase D(u) x D(v) for every
+    a < b, over the words V = D(x) x D(y), x in mode1 and y in mode2, word
+    index a = len(mode2) i + j."""
+    words = [(x, y) for x in mode1 for y in mode2]
+    for a, (xa, ya) in enumerate(words):
+        for b in range(a + 1, len(words)):
+            xb, yb = words[b]
+            yield a, b, _product_phase(-xa, xb, -ya, yb), xb - xa, yb - ya
+
+
+def _gram(chi2, mode1, mode2) -> np.ndarray:
+    """Gram matrix <V_a^dag V_b> over the words of _gram_words, with
+    chi2(u, v) = <D(u) x D(v)>. Only the upper triangle is evaluated; the
+    diagonal is 1 and the lower triangle is its exact conjugate."""
+    m = np.eye(len(mode1) * len(mode2), dtype=complex)
+    for a, b, phase, u, v in _gram_words(mode1, mode2):
+        m[a, b] = phase * chi2(u, v)
+        m[b, a] = m[a, b].conjugate()
+    return m
+
+
+def _modes(settings: Settings):
+    return ((0j, settings.alpha1, settings.alpha2),
+            (0j, settings.beta1, settings.beta2))
+
+
 def moments9(state: TwoModeState, settings: Settings) -> MomentMatrix9:
     """Build the 9x9 moment matrix M_ab = <(V_a)^dag V_b> via chi2."""
-    mode1 = (0.0 + 0j, settings.alpha1, settings.alpha2)
-    mode2 = (0.0 + 0j, settings.beta1, settings.beta2)
-    words = [DisplacementWord(1.0, a, b) for a in mode1 for b in mode2]
-    m = np.empty((9, 9), dtype=complex)
     correlations = {}
-    for a in range(9):
-        for b in range(9):
-            if b < a:
-                m[a, b] = m[b, a].conjugate()
-                continue
-            if b == a:
-                m[a, b] = 1.0
-                continue
-            w = word_product(words[a].dagger(), words[b])
-            val = state.chi2(w.amp1, w.amp2)
-            m[a, b] = w.phase * val
-            correlations.setdefault(_canonical_point(w.amp1, w.amp2), val)
-    return MomentMatrix9(settings, m, correlations)
+
+    def chi2(u, v):
+        val = state.chi2(u, v)
+        correlations.setdefault(_canonical_point(u, v), val)
+        return val
+
+    return MomentMatrix9(settings, _gram(chi2, *_modes(settings)),
+                         correlations)
 
 
 def partial_transpose(m) -> np.ndarray:
@@ -175,11 +200,12 @@ class WitnessDescriptor:
 
 
 def _reduce_terms(raw, metadata) -> WitnessDescriptor:
-    """Fold phases into coefficients, merge equal words, sort canonically."""
+    """Merge the (coeff, amp1, amp2) terms of equal displacement, prune
+    vanishing ones and sort canonically."""
     acc = {}
-    for coeff, word in raw:
-        key = (word.amp1.real, word.amp1.imag, word.amp2.real, word.amp2.imag)
-        acc[key] = acc.get(key, 0j) + coeff * word.phase
+    for coeff, amp1, amp2 in raw:
+        key = (amp1.real, amp1.imag, amp2.real, amp2.imag)
+        acc[key] = acc.get(key, 0j) + coeff
     terms = tuple(
         (acc[key], DisplacementWord(1.0, complex(key[0], key[1]),
                                     complex(key[2], key[3])))
@@ -194,19 +220,14 @@ def witness_from_eta(eta: np.ndarray, settings: Settings) -> WitnessDescriptor:
         raise ValueError(f"eta must be a 9-vector, got shape {eta.shape}")
     if abs(np.linalg.norm(eta) - 1.0) > IMAG_TOL:
         raise ValueError(f"eta must have unit norm, got {np.linalg.norm(eta)!r}")
-    mode1 = (0.0 + 0j, settings.alpha1, settings.alpha2)
-    mode2 = (0.0 + 0j, settings.beta1, settings.beta2)
-    raw = []
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    coeff = eta[3 * i + j] * eta[3 * k + l].conjugate()
-                    if coeff == 0:
-                        continue
-                    left = DisplacementWord(1.0, mode1[i], mode2[l])
-                    right = DisplacementWord(1.0, mode1[k], mode2[j])
-                    raw.append((coeff, word_product(left.dagger(), right)))
+    # eta^dag M^G eta = tr{M Q} with Q = (eta eta^dag)^G, as the partial
+    # transpose is self-adjoint under the trace; M_cc = 1 and
+    # M_dc = M_cd^dag leave only the words above the diagonal
+    q = partial_transpose(np.outer(eta, eta.conj())).tolist()
+    raw = [(sum(q[c][c] for c in range(9)), 0j, 0j)]
+    for c, d, phase, u, v in _gram_words(*_modes(settings)):
+        raw.append((q[d][c] * phase, u, v))
+        raw.append((q[c][d] * phase.conjugate(), -u, -v))
     return _reduce_terms(raw, {"settings": settings, "eta": tuple(eta)})
 
 
@@ -235,26 +256,26 @@ def paper_witness(xi0: float, eps: float, w: float) -> WitnessDescriptor:
     s3 = s2 - s1
     u = math.sqrt(1.0 - 4.0 * w * w)
     w2 = w * w
-    raw = [(1.0 + 0j, IDENTITY_WORD)]
+    raw = [(1.0 + 0j, 0j, 0j)]
     # w^2 [D(s2) - D(-s2)] x [D(s2) - D(-s2)]
     for sa, siga in ((s2, 1), (-s2, -1)):
         for sb, sigb in ((s2, 1), (-s2, -1)):
-            raw.append((w2 * siga * sigb, DisplacementWord(1.0, sa, sb)))
+            raw.append((w2 * siga * sigb, sa, sb))
     # 2i w^2 (1 x [D(s2) - D(-s2)] - [D(s2) - D(-s2)] x 1); the sign of this
     # group is fixed by the operator equivalence with witness_from_eta
     for sa, siga in ((s2, 1), (-s2, -1)):
-        raw.append((-2j * w2 * siga, DisplacementWord(1.0, sa, 0.0)))
-        raw.append((2j * w2 * siga, DisplacementWord(1.0, 0.0, sa)))
+        raw.append((-2j * w2 * siga, sa, 0j))
+        raw.append((2j * w2 * siga, 0j, sa))
     # -w sqrt(1-4w^2) { diagonal s1/s3 correlations ... }
     g = -w * u
     for sa in (s1, -s1, s3, -s3):
-        raw.append((g + 0j, DisplacementWord(1.0, sa, sa)))
+        raw.append((g + 0j, sa, sa))
     # cross correlations; the e^{+-i eps} pairing is fixed by the operator
     # equivalence with witness_from_eta
     ph = cmath.exp(-1j * eps)
-    raw.append((g * 1j * ph, DisplacementWord(1.0, -s1, s3)))
-    raw.append((g * 1j * ph, DisplacementWord(1.0, -s3, s1)))
-    raw.append((g * -1j * ph.conjugate(), DisplacementWord(1.0, s1, -s3)))
-    raw.append((g * -1j * ph.conjugate(), DisplacementWord(1.0, s3, -s1)))
+    raw.append((g * 1j * ph, -s1, s3))
+    raw.append((g * 1j * ph, -s3, s1))
+    raw.append((g * -1j * ph.conjugate(), s1, -s3))
+    raw.append((g * -1j * ph.conjugate(), s3, -s1))
     return _reduce_terms(raw, {"settings": settings, "xi0": xi0,
                                "eps": eps, "w": w})

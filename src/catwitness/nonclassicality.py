@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,21 +58,14 @@ def bochner_matrix(state: SingleModeState,
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    The complex matrix is embedded as the real-symmetric doubling
-    [[Re, -Im], [Im, Re]] (each eigenvalue appears twice), keeping the
-    numerical core language-portable.
-    """
+    """Smallest eigenvalue of a Hermitian matrix, from complex eigvalsh on
+    its Hermitian part after a Hermiticity check."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    m = (m + m.conj().T) / 2.0
-    re, im = m.real, m.imag
-    doubled = np.block([[re, -im], [im, re]])
-    return float(np.linalg.eigvalsh(doubled)[0])
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
 
 
 def nc2_certificate(state: SingleModeState,

@@ -107,8 +107,8 @@ def displacement_matrix(alpha: complex, dim: int) -> FockMatrix:
             val = mag * phase ** k * lag[n, k]
             out[m, n] = val
             if m != n:
-                # <n|D(alpha)|m> = (-1)^k conj(<m|D(alpha)|n>) * (phase^k)^2 ...
-                # use the closed form directly with -conj(alpha):
+                # <n|D(alpha)|m> = conj(<m|D(-alpha)|n>): the same magnitude
+                # with the phase of -alpha, conjugated
                 out[n, m] = mag * (-phase.conjugate()) ** k * lag[n, k]
     return FockMatrix(dim, out)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entanglement import _gram
 from .states import (
     CoherentSuperposition,
     Mixture,
@@ -23,6 +24,7 @@ from .states import (
     SingleModeState,
     TwoModeState,
     _check_finite,
+    _coherent_sum,
 )
 
 PSD_TOL = 1e-10
@@ -106,16 +108,14 @@ def conditional_state(state: SingleModeState, s: RamseySetting,
                       outcome: int) -> tuple[SingleModeState, float]:
     """Post-measurement state and its probability for outcome +1 or -1.
 
-    Closed-form only for coherent superpositions (and mixtures of them),
-    which are closed under displacement; other families go through the
-    oracle module.
+    Supported for coherent superpositions and mixtures of them, the
+    families closed under displacement; others raise TypeError.
     """
     if outcome not in (+1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     if isinstance(state, CoherentSuperposition):
-        from .states import _gram_norm_sq
         raw = _kraus_terms(state.terms, outcome, s.phi, s.alpha)
-        prob = _gram_norm_sq(raw)
+        prob = _coherent_sum(raw, (0j,)).real
         if prob <= ZERO_PROB:
             raise ValueError(f"outcome {outcome:+d} has probability {prob:g}")
         return CoherentSuperposition(tuple(raw)), prob
@@ -130,7 +130,8 @@ def conditional_state(state: SingleModeState, s: RamseySetting,
             raise ValueError(f"outcome {outcome:+d} has probability {total:g}")
         return Mixture(tuple((wp / total, sub) for wp, sub in parts)), total
     raise TypeError(f"{type(state).__name__} is not closed under displacement; "
-                    "use the oracle path")
+                    "conditional states are supported for coherent "
+                    "superpositions and mixtures of them")
 
 
 def two_qubit_correlation(state: TwoModeState, s1: RamseySetting,
@@ -235,8 +236,7 @@ def prepare_conditional(psi: CoherentSuperposition, Theta: float, phi0: float,
                     a2 = a2 + alpha
                 raw.append((coeff, a1, a2))
 
-    from .states import _gram_norm_sq_pair
-    prob = _gram_norm_sq_pair(raw)
+    prob = _coherent_sum(raw, (0j, 0j)).real
     if prob <= ZERO_PROB:
         raise ValueError(f"outcome {outcome} has probability {prob:g}")
     return PairSuperposition(tuple(raw)), prob
@@ -268,24 +268,8 @@ class QubitPairState:
 def moments4(state: TwoModeState, alpha: complex, beta: complex) -> np.ndarray:
     """Gram matrix <V_a^dag V_b> of V in {1x1, 1xD(beta), D(alpha)x1,
     D(alpha)xD(beta)}, ordered (gg, ge, eg, ee)."""
-    alpha = _check_finite(alpha)
-    beta = _check_finite(beta)
-    words = [(0.0 + 0j, 0.0 + 0j), (0.0 + 0j, beta),
-             (alpha, 0.0 + 0j), (alpha, beta)]
-    m = np.empty((4, 4), dtype=complex)
-    for a, (a1, a2) in enumerate(words):
-        for b, (b1, b2) in enumerate(words):
-            if b < a:
-                m[a, b] = m[b, a].conjugate()
-                continue
-            if b == a:
-                m[a, b] = 1.0
-                continue
-            # (D(a1) x D(a2))^dag (D(b1) x D(b2))
-            phase = cmath.exp(1j * ((-a1 * b1.conjugate()).imag
-                                    + (-a2 * b2.conjugate()).imag))
-            m[a, b] = phase * state.chi2(b1 - a1, b2 - a2)
-    return m
+    return _gram(state.chi2, (0j, _check_finite(alpha)),
+                 (0j, _check_finite(beta)))
 
 
 def qubit_channel(rho: QubitPairState, m: np.ndarray) -> QubitPairState:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import mul
 
 from scipy.special import eval_laguerre
 
@@ -46,6 +47,31 @@ def displaced_matrix_element(xi_a: complex, alpha: complex,
     xi_b = _check_finite(xi_b)
     phase = cmath.exp(1j * (alpha * xi_b.conjugate()).imag)
     return phase * coherent_overlap(xi_a, xi_b + alpha)
+
+
+def _coherent_sum(terms, alphas) -> complex:
+    """sum_{k,l} c_k c_l* prod_m <x_l^m| D(alpha_m) |x_k^m> over the terms
+    (c, x^1, ..., x^M) of an M-mode coherent superposition.
+
+    With D(alpha)|x> = e^{i Im(alpha x*)} |x + alpha> and
+    <x|y> = exp(-|x|^2/2 - |y|^2/2 + x* y), each term pair is one
+    exponential of a ket part, a bra part and the cross term x_l* y_k.
+    All alphas = 0 gives the squared norm. Amplitudes and coefficients
+    must already be finite (validated by the callers).
+    """
+    kets, bras = [], []
+    for c, *xs in terms:
+        ys = [x + a for x, a in zip(xs, alphas)]
+        phase = sum((a * x.conjugate()).imag for x, a in zip(xs, alphas))
+        kets.append((c, complex(-0.5 * sum(abs(y) ** 2 for y in ys), phase),
+                     ys))
+        bras.append((c.conjugate(), -0.5 * sum(abs(x) ** 2 for x in xs),
+                     [x.conjugate() for x in xs]))
+    total = 0j
+    for c_k, e_k, ys in kets:
+        for cc_l, e_l, xcs in bras:
+            total += c_k * cc_l * cmath.exp(sum(map(mul, xcs, ys), e_k + e_l))
+    return total
 
 
 class SingleModeState:
@@ -80,7 +106,7 @@ class CoherentSuperposition(SingleModeState):
                       for c, xi in self.terms)
         if not terms:
             raise ValueError("superposition needs at least one term")
-        norm_sq = _gram_norm_sq(terms)
+        norm_sq = _coherent_sum(terms, (0j,)).real
         if norm_sq < DEGENERATE_NORM:
             raise ValueError(f"degenerate superposition, squared norm {norm_sq:g}")
         scale = 1.0 / math.sqrt(norm_sq)
@@ -88,21 +114,7 @@ class CoherentSuperposition(SingleModeState):
                            tuple((c * scale, xi) for c, xi in terms))
 
     def chi(self, alpha: complex) -> complex:
-        alpha = _check_finite(alpha)
-        total = 0.0 + 0.0j
-        for c_k, xi_k in self.terms:
-            for c_l, xi_l in self.terms:
-                total += c_k * c_l.conjugate() * displaced_matrix_element(
-                    xi_l, alpha, xi_k)
-        return total
-
-
-def _gram_norm_sq(terms) -> float:
-    total = 0.0 + 0.0j
-    for c_k, xi_k in terms:
-        for c_l, xi_l in terms:
-            total += c_k.conjugate() * c_l * coherent_overlap(xi_k, xi_l)
-    return total.real
+        return _coherent_sum(self.terms, (_check_finite(alpha),))
 
 
 @dataclass(frozen=True)
@@ -201,7 +213,7 @@ class PairSuperposition(TwoModeState):
                        _check_finite(b)) for c, a, b in self.terms)
         if not terms:
             raise ValueError("superposition needs at least one term")
-        norm_sq = _gram_norm_sq_pair(terms)
+        norm_sq = _coherent_sum(terms, (0j, 0j)).real
         if norm_sq < DEGENERATE_NORM:
             raise ValueError(f"degenerate superposition, squared norm {norm_sq:g}")
         scale = 1.0 / math.sqrt(norm_sq)
@@ -209,25 +221,8 @@ class PairSuperposition(TwoModeState):
                            tuple((c * scale, a, b) for c, a, b in terms))
 
     def chi2(self, alpha: complex, beta: complex) -> complex:
-        alpha = _check_finite(alpha)
-        beta = _check_finite(beta)
-        total = 0.0 + 0.0j
-        for c_k, xi_k, zeta_k in self.terms:
-            for c_l, xi_l, zeta_l in self.terms:
-                total += (c_k * c_l.conjugate()
-                          * displaced_matrix_element(xi_l, alpha, xi_k)
-                          * displaced_matrix_element(zeta_l, beta, zeta_k))
-        return total
-
-
-def _gram_norm_sq_pair(terms) -> float:
-    total = 0.0 + 0.0j
-    for c_k, a_k, b_k in terms:
-        for c_l, a_l, b_l in terms:
-            total += (c_k.conjugate() * c_l
-                      * coherent_overlap(a_k, a_l)
-                      * coherent_overlap(b_k, b_l))
-    return total.real
+        return _coherent_sum(self.terms,
+                             (_check_finite(alpha), _check_finite(beta)))
 
 
 @dataclass(frozen=True)

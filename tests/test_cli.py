@@ -61,11 +61,22 @@ def test_chi_verify_column(capsys):
     assert float(lines[1].split(",")[-1]) < 1e-8
 
 
-def test_chi_grid_and_threads(capsys):
+def test_chi_grid(capsys):
     code, out, _ = run(capsys, "chi", "--state", "vac",
-                       "--grid", "0:1:0.5,0:0.5:0.5", "--threads", "2")
+                       "--grid", "0:1:0.5,0:0.5:0.5")
     assert code == 0
     assert len(out.strip().split("\n")) == 1 + 3 * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("chi", "--state", "vac", "--alpha", "1", "--threads", "2"),
+    ("ptmin", "--grid", "1:1:1,1:1:1", "--verify"),
+    ("witness", "--grid", "1:1:1", "--format", "json"),
+])
+def test_options_without_effect_are_rejected(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
 
 
 def test_chi_usage_errors(capsys):

@@ -65,7 +65,7 @@ def test_bochner_matrix_duplicate_warning():
         bochner_matrix(VACUUM, [0.0, 0.5, 0.5])
 
 
-def test_min_eigenvalue_doubling_embedding():
+def test_min_eigenvalue_matches_eigvalsh():
     rng = np.random.default_rng(42)
     for _ in range(20):
         g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))

@@ -27,6 +27,8 @@ from catwitness import (
     sample_outcomes,
     two_qubit_correlation,
 )
+from catwitness.entanglement import Settings, moments9
+from catwitness.states import ProductState
 
 VAC1 = CoherentSuperposition(((1.0, 0.0),))
 
@@ -176,6 +178,20 @@ def test_moments4_is_psd_gram():
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     assert np.max(np.abs(np.diag(m) - 1.0)) < 1e-12
     assert np.min(np.linalg.eigvalsh(m)) > -1e-10
+
+
+def test_moments4_is_the_moments9_block():
+    # both Gram matrices come from one builder, so the 4x4 matrix is the
+    # {1, D(alpha)} x {1, D(beta)} block of the 9x9 one, bit for bit
+    a, a2, b, b2 = 0.8 + 0.1j, 0.3j, -0.7 + 0.2j, -0.25j
+    pair, _ = prepare_conditional(cat_state(0.9, 0.4), 0.9, 0.2,
+                                  RamseySetting(0.5, 0.6 + 0.3j), (-1, +1))
+    assert len(pair.terms) == 16
+    for state in (entangled_cat(1.0, +1), pair,
+                  ProductState(cat_state(1.2, 0.5), VACUUM)):
+        block = moments9(state, Settings(a, a2, b, b2)).entries[
+            np.ix_([0, 1, 3, 4], [0, 1, 3, 4])]
+        assert np.array_equal(moments4(state, a, b), block)
 
 
 def test_qubit_channel_identity_moments():
