@@ -8,6 +8,7 @@ two routes can cross-check each other.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,15 +31,17 @@ from .states import (
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-6
 CONVERGENCE_TOL = 1e-9
+MAX_DIM = 4096  # largest per-mode cutoff the doubling loop builds
 
 
 class TruncationError(ValueError):
-    """Raised when the Fock cutoff loses too much trace weight."""
+    """Raised when the Fock cutoff loses too much trace weight, or when no
+    cutoff up to MAX_DIM gives a finite, converged value."""
 
-    def __init__(self, dim: int, leakage: float):
+    def __init__(self, dim: int, leakage: float, reason: str | None = None):
         self.dim = dim
         self.leakage = leakage
-        super().__init__(f"dim={dim} leaks {leakage:.3e} of the trace")
+        super().__init__(reason or f"dim={dim} leaks {leakage:.3e} of the trace")
 
 
 @dataclass(frozen=True)
@@ -70,24 +73,12 @@ def laguerre(n: int, k: int, x: float) -> float:
     return cur
 
 
-def _laguerre_table(dim: int, x: float) -> np.ndarray:
-    """L_n^{(k)}(x) for all 0 <= n, k < dim; recurrence run per column k."""
-    table = np.empty((dim, dim))
-    for k in range(dim):
-        table[0, k] = 1.0
-        if dim > 1:
-            table[1, k] = 1.0 + k - x
-        for m in range(1, dim - 1):
-            table[m + 1, k] = ((2 * m + k + 1 - x) * table[m, k]
-                               - (m + k) * table[m - 1, k]) / (m + 1)
-    return table
-
-
 def displacement_matrix(alpha: complex, dim: int) -> FockMatrix:
     """Fock-basis matrix of D(alpha), <m|D|n> from associated Laguerre forms.
 
-    Factorial ratios are assembled in log space so large cutoffs don't
-    overflow.
+    The recurrence in n runs for all k at once on the normalised values
+    h[n, k] = sqrt(n!/(n+k)!) |alpha|^k e^{-|alpha|^2/2} L_n^{(k)}(|alpha|^2),
+    |h| <= 1 as elements of a unitary, so it stays finite at any cutoff.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -95,21 +86,25 @@ def displacement_matrix(alpha: complex, dim: int) -> FockMatrix:
     x = abs(alpha) ** 2
     if x == 0.0:
         return FockMatrix(dim, np.eye(dim, dtype=complex))
-    lag = _laguerre_table(dim, x)
-    lg = gammaln(np.arange(1, dim + 1))  # log(n!)
-    log_mod = math.log(abs(alpha))
+    n = np.arange(dim)
+    h = np.zeros((dim, dim))
+    h[0] = np.exp(n * math.log(abs(alpha)) - x / 2.0 - 0.5 * gammaln(n + 1))
+    root = np.zeros(dim)  # sqrt(m (m + k)) at m = 0: drops h[-1]
+    for m in range(dim - 1):
+        s = slice(0, dim - m - 1)  # row m + 1 is needed for k < dim - m - 1
+        root_next = np.sqrt((m + 1) * (m + 1 + n[s]))
+        h[m + 1, s] = ((2 * m + 1 - x + n[s]) * h[m, s]
+                       - root[s] * h[m - 1, s]) / root_next
+        root = root_next
+    rows, cols = np.tril_indices(dim)
+    k = rows - cols
+    mag = h[cols, k]
     phase = alpha / abs(alpha)
     out = np.empty((dim, dim), dtype=complex)
-    for m in range(dim):
-        for n in range(m + 1):
-            k = m - n
-            mag = math.exp(0.5 * (lg[n] - lg[m]) + k * log_mod - x / 2.0)
-            val = mag * phase ** k * lag[n, k]
-            out[m, n] = val
-            if m != n:
-                # <n|D(alpha)|m> = conj(<m|D(-alpha)|n>): the same magnitude
-                # with the phase of -alpha, conjugated
-                out[n, m] = mag * (-phase.conjugate()) ** k * lag[n, k]
+    out[rows, cols] = mag * (phase ** n)[k]
+    # <n|D(alpha)|m> = conj(<m|D(-alpha)|n>): the same magnitude with the
+    # phase of -alpha, conjugated
+    out[cols, rows] = mag * ((-phase.conjugate()) ** n)[k]
     return FockMatrix(dim, out)
 
 
@@ -125,31 +120,28 @@ def _coherent_vector(xi: complex, dim: int) -> np.ndarray:
     return np.exp(log_mag) * (xi / abs(xi)) ** n
 
 
-def _damping_kraus(gamma_t: float, dim: int) -> list[np.ndarray]:
-    """Kraus operators of the zero-temperature amplitude-damping channel."""
-    eta = math.exp(-gamma_t)
-    ops = []
-    lg = gammaln(np.arange(1, dim + 1))
-    for k in range(dim):
-        a = np.zeros((dim, dim))
-        for n in range(k, dim):
-            log_binom = lg[n] - lg[k] - lg[n - k]
-            a[n - k, n] = math.exp(0.5 * (log_binom
-                                          + (n - k) * math.log(eta)
-                                          + k * math.log1p(-eta))) \
-                if eta < 1.0 else (1.0 if k == 0 else 0.0)
-        ops.append(a)
-    return ops
-
-
 def apply_damping(rho: FockMatrix, gamma_t: float) -> FockMatrix:
-    """Amplitude-damping Kraus sum on a truncated density matrix."""
-    if gamma_t == 0.0:
+    """Amplitude-damping Kraus sum on a truncated density matrix.
+
+    The Kraus operator A_k has one shifted diagonal, <n-k|A_k|n> = a[k, n]
+    = sqrt(C(n, k) eta^(n-k) (1-eta)^k), so A_k rho A_k^T is rho's
+    lower-right block scaled by outer(a[k, k:], a[k, k:]), moved to the top
+    left.
+    """
+    eta = math.exp(-gamma_t)
+    if eta == 1.0:
         return rho
+    dim = rho.dim
+    n = np.arange(dim)
+    kc = n[:, None]
+    lg = gammaln(n + 1)
+    log_sq = (lg - lg[kc] - lg[np.abs(n - kc)]
+              + (n - kc) * math.log(eta) + kc * math.log1p(-eta))
+    a = np.exp(0.5 * np.where(n >= kc, log_sq, -np.inf))
     out = np.zeros_like(rho.entries)
-    for a in _damping_kraus(gamma_t, rho.dim):
-        out += a @ rho.entries @ a.T
-    return FockMatrix(rho.dim, out)
+    for k in range(dim):
+        out[:dim - k, :dim - k] += np.outer(a[k, k:], a[k, k:]) * rho.entries[k:, k:]
+    return FockMatrix(dim, out)
 
 
 def state_to_matrix(state, dim: int) -> FockMatrix:
@@ -242,23 +234,41 @@ def initial_dim(state, *amplitudes: complex) -> int:
     return math.ceil(4.0 * amp ** 2 + 20.0)
 
 
+def _converge(evaluate, dim: int, tol: float) -> complex:
+    """evaluate(dim), doubling the per-mode cutoff until two successive
+    values agree within tol; no cutoff above MAX_DIM is built."""
+    if dim > MAX_DIM:
+        raise TruncationError(dim, math.nan,
+                              f"needs dim={dim}, above MAX_DIM={MAX_DIM}")
+    prev = None
+    while dim <= MAX_DIM:
+        tried, dim = dim, 2 * dim
+        try:
+            val = evaluate(tried)
+        except TruncationError as exc:
+            status = str(exc)
+            continue
+        if not cmath.isfinite(val):
+            raise TruncationError(tried, math.nan,
+                                  f"dim={tried} gives the non-finite value {val}")
+        if prev is not None and abs(val - prev) < tol:
+            return val
+        status = ("a single value" if prev is None
+                  else f"last delta {abs(val - prev):.3e} >= tol={tol:.1e}")
+        prev = val
+    raise TruncationError(tried, math.nan,
+                          f"not converged up to MAX_DIM={MAX_DIM}: last dim "
+                          f"tried {tried}, {status}")
+
+
 def oracle_chi(state: SingleModeState, alpha: complex,
                tol: float = CONVERGENCE_TOL) -> complex:
     """chi(alpha) by direct tr{D(alpha) rho}, doubling dim until converged."""
-    dim = initial_dim(state, alpha)
-    prev = None
-    while dim <= 4096:
-        try:
-            rho = state_to_matrix(state, dim)
-        except TruncationError:
-            dim *= 2
-            continue
-        val = expval(displacement_matrix(alpha, dim), rho)
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
-        dim *= 2
-    raise TruncationError(dim, float("nan"))
+    def at_dim(dim):
+        rho = state_to_matrix(state, dim)  # may leak: no D(alpha) built then
+        return expval(displacement_matrix(alpha, dim), rho)
+
+    return _converge(at_dim, initial_dim(state, alpha), tol)
 
 
 def oracle_chi_normal(state: SingleModeState, alpha: complex,
@@ -280,15 +290,12 @@ def _chi2_at_dim(state: TwoModeState, alpha: complex, beta: complex,
 
 def _chi2_structured(state, d1, d2, dim) -> complex:
     if isinstance(state, PairSuperposition):
-        total = 0.0 + 0.0j
-        vecs = [(c, _coherent_vector(a, dim), _coherent_vector(b, dim))
-                for c, a, b in state.terms]
-        for c_k, u_k, z_k in vecs:
-            for c_l, u_l, z_l in vecs:
-                total += (c_k * c_l.conjugate()
-                          * (u_l.conjugate() @ d1 @ u_k)
-                          * (z_l.conjugate() @ d2 @ z_k))
-        return total
+        # sum_{k,l} c_k c_l* <u_l|d1|u_k> <z_l|d2|z_k> = c^dag (G1 o G2) c
+        c = np.array([c for c, _, _ in state.terms], dtype=complex)
+        u = np.array([_coherent_vector(a, dim) for _, a, _ in state.terms])
+        z = np.array([_coherent_vector(b, dim) for _, _, b in state.terms])
+        gram = (u.conj() @ d1 @ u.T) * (z.conj() @ d2 @ z.T)
+        return complex(c.conj() @ gram @ c)
     if isinstance(state, ProductState):
         left = _state_to_matrix(state.left, dim).entries
         right = _state_to_matrix(state.right, dim).entries
@@ -303,12 +310,5 @@ def _chi2_structured(state, d1, d2, dim) -> complex:
 def oracle_chi2(state: TwoModeState, alpha: complex, beta: complex,
                 tol: float = CONVERGENCE_TOL) -> complex:
     """Two-mode chi by truncated matrix elements, doubling dim until converged."""
-    dim = initial_dim(state, alpha, beta)
-    prev = None
-    while dim <= 4096:
-        val = _chi2_at_dim(state, alpha, beta, dim)
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
-        dim *= 2
-    raise TruncationError(dim, float("nan"))
+    return _converge(lambda dim: _chi2_at_dim(state, alpha, beta, dim),
+                     initial_dim(state, alpha, beta), tol)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from catwitness import cat_state, entangled_cat, states
+from catwitness import cat_state, entangled_cat, oracle, states
 from catwitness.cli import main, parse_grid, parse_state, UsageError
 
 
@@ -59,6 +59,23 @@ def test_chi_verify_column(capsys):
     lines = out.strip().split("\n")
     assert lines[0].endswith(",oracle_delta")
     assert float(lines[1].split(",")[-1]) < 1e-8
+
+
+def test_chi_verify_large_cutoffs(capsys, monkeypatch):
+    code, out, _ = run(capsys, "chi", "--state", "fock:150", "--alpha", "2",
+                       "--verify")
+    assert code == 0
+    assert float(out.strip().split("\n")[1].split(",")[-1]) < 1e-8
+
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built above the cap")
+
+    monkeypatch.setattr(oracle, "state_to_matrix", no_matrix)
+    monkeypatch.setattr(oracle, "displacement_matrix", no_matrix)
+    code, _, err = run(capsys, "chi", "--state", "cat:40,0", "--alpha", "1",
+                       "--verify")
+    assert code == 2
+    assert f"MAX_DIM={oracle.MAX_DIM}" in err
 
 
 def test_chi_grid(capsys):

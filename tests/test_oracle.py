@@ -14,6 +14,7 @@ from catwitness import (
     cat_state,
     decohere,
     entangled_cat,
+    oracle,
 )
 from catwitness.oracle import (
     TruncationError,
@@ -27,6 +28,8 @@ from catwitness.oracle import (
     oracle_chi_normal,
     state_to_matrix,
 )
+from catwitness.ramsey import RamseySetting, prepare_conditional
+from catwitness.states import TwoModeMixture
 
 
 def test_laguerre_against_scipy():
@@ -51,6 +54,23 @@ def test_displacement_matrix_small_entries():
     assert d[1, 1] == pytest.approx(g * (1 - x), abs=1e-12)
     assert d[2, 1] == pytest.approx(g * a * math.sqrt(2) * (1 - x / 2),
                                     abs=1e-12)
+
+
+def test_displacement_matrix_matches_scalar_laguerre():
+    # both triangles against sqrt(n!/m!) a^(m-n) e^{-|a|^2/2} L_n^{(m-n)}(|a|^2)
+    # and <n|D(a)|m> = conj(<m|D(-a)|n>), through the scalar reference
+    dim = 60
+    for a in (0.3 + 0.1j, -1.2 + 0.7j, 2.5j, -1.5 - 2.0j):
+        x = abs(a) ** 2
+        d = displacement_matrix(a, dim).entries
+        worst = 0.0
+        for m in range(dim):
+            for n in range(m + 1):
+                base = (math.sqrt(math.factorial(n) / math.factorial(m))
+                        * math.exp(-x / 2.0) * laguerre(n, m - n, x))
+                worst = max(worst, abs(d[m, n] - base * a ** (m - n)),
+                            abs(d[n, m] - base * (-a.conjugate()) ** (m - n)))
+        assert worst < 1e-12
 
 
 def test_displacement_matrix_unitary_block():
@@ -132,7 +152,13 @@ def test_oracle_chi2_matches_closed_forms():
         (entangled_cat(1.0, +1), 0.4, -0.3j),
         (entangled_cat(1.5, -1), 0.2 + 0.5j, 0.7),
         (ProductState(cat_state(1.0, 0.0), ThermalState(0.5)), 0.6, 0.9j),
+        (prepare_conditional(cat_state(0.8, 0.0), 0.7, 0.35,
+                             RamseySetting(0.4, 1.1), (1, -1))[0], 0.5j, -0.4),
+        (TwoModeMixture(((0.6, entangled_cat(1.0, -1)),
+                         (0.4, ProductState(cat_state(0.7, 0.0), FockState(1))))),
+         0.3 - 0.4j, 0.8),
     ]
+    assert len(cases[3][0].terms) == 16
     for state, a, b in cases:
         assert oracle_chi2(state, a, b) == pytest.approx(
             state.chi2(a, b), abs=1e-9)
@@ -150,3 +176,22 @@ def test_oracle_thermal_needs_extra_dim():
 def test_fock_chi_zero_point():
     # tr{D(1)|1><1|} = 0 exactly
     assert abs(oracle_chi(FockState(1), 1.0)) < 1e-9
+
+
+def test_oracle_chi_large_fock_stays_finite():
+    # the normalised recurrence keeps a cutoff of 1240 finite
+    assert oracle_chi(FockState(150), 2.0) == pytest.approx(
+        FockState(150).chi(2.0), abs=1e-8)
+
+
+def test_truncation_error_stays_within_max_dim(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_DIM", 64)
+    with pytest.raises(TruncationError, match="MAX_DIM=64") as exc:
+        oracle_chi(FockState(1), 0.5, tol=0.0)
+    assert exc.value.dim <= 64
+    with pytest.raises(TruncationError, match="needs dim=420"):
+        oracle_chi(cat_state(10.0, 0.0), 0.5)
+    monkeypatch.setattr(oracle, "expval", lambda op, rho: complex("nan"))
+    with pytest.raises(TruncationError, match="non-finite") as exc:
+        oracle_chi(FockState(1), 0.5)
+    assert exc.value.dim == 24
