@@ -11,11 +11,11 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import entanglement, nonclassicality, oracle, ramsey, states
 
 VERIFY_TOL = 1e-8
+# qubit outcomes of prepare: g is -1, e is +1
+OUTCOMES = {"gg": (-1, -1), "ge": (-1, +1), "eg": (+1, -1), "ee": (+1, +1)}
 
 
 class UsageError(Exception):
@@ -87,20 +87,43 @@ def parse_grid(text: str) -> nonclassicality.GridSpec:
         raise UsageError(str(exc)) from exc
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _cjson(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def _write(args, text: str):
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _csv(args, header: str, rows):
+    """Write a header line and one line per row, each cell as %.17g."""
+    lines = [header] + [",".join(f"{c:.17g}" for c in row) for row in rows]
+    _write(args, "\n".join(lines) + "\n")
+
+
+def _single_mode(args):
+    state = parse_state(args.state)
+    if not isinstance(state, states.SingleModeState):
+        raise UsageError(f"{args.command} needs a single-mode state")
+    return state
+
+
+def _pair(args, xi0):
+    """The separable control with --product, else the entangled cat."""
+    if args.product:
+        return states.ProductState(states.VACUUM, states.VACUUM)
+    return states.entangled_cat(xi0, +1)
+
+
+def _grid(args, *names) -> nonclassicality.GridSpec:
+    """The parsed --grid; given names, it must have one axis per name."""
+    if not args.grid:
+        raise UsageError(f"{args.command} needs --grid")
+    grid = parse_grid(args.grid)
+    if names and len(grid.axes) != len(names):
+        raise UsageError(f"{args.command} needs a {len(names)}-axis grid "
+                         f"({', '.join(names)})")
+    return grid
 
 
 def _alpha_list(args):
@@ -111,17 +134,12 @@ def _alpha_list(args):
             out.append(complex(float(re), float(im) if im else 0.0))
         return out
     if args.grid:
-        grid = parse_grid(args.grid)
-        ax1 = grid.axis_values(0)
-        ax2 = grid.axis_values(1) if len(grid.axes) == 2 else np.array([0.0])
-        return [complex(a, b) for a in ax1 for b in ax2]
+        return [complex(a, b) for a, b in zip(*parse_grid(args.grid).cells())]
     raise UsageError("chi needs --alpha or --grid")
 
 
 def cmd_chi(args) -> int:
-    state = parse_state(args.state)
-    if not isinstance(state, states.SingleModeState):
-        raise UsageError("chi needs a single-mode state")
+    state = _single_mode(args)
     alphas = _alpha_list(args)
 
     def row(alpha):
@@ -136,35 +154,27 @@ def cmd_chi(args) -> int:
                     f"oracle discrepancy {delta:g} at alpha={alpha}")
         return cells
 
-    rows = [row(alpha) for alpha in alphas]
     header = "alpha_re,alpha_im,chi_re,chi_im,chiN_re,chiN_im"
     if args.verify:
         header += ",oracle_delta"
-    lines = [header] + [",".join(_fmt(c) for c in cells) for cells in rows]
-    _write(args, "\n".join(lines) + "\n")
+    _csv(args, header, [row(alpha) for alpha in alphas])
     return 0
 
 
 def cmd_ncregion(args) -> int:
-    state = parse_state(args.state)
-    if not isinstance(state, states.SingleModeState):
-        raise UsageError("ncregion needs a single-mode state")
-    grid = parse_grid(args.grid)
-    scan = nonclassicality.region_scan(state, grid, args.certificate,
+    state = _single_mode(args)
+    scan = nonclassicality.region_scan(state, _grid(args), args.certificate,
                                        args.threshold)
     _write(args, scan.to_csv())
     return 0
 
 
 def cmd_decay(args) -> int:
-    state = parse_state(args.state)
-    if not isinstance(state, states.SingleModeState):
-        raise UsageError("decay needs a single-mode state")
+    state = _single_mode(args)
     if not args.alpha:
         raise UsageError("decay needs --alpha")
     alpha = _alpha_list(args)[0]
-    grid = parse_grid(args.grid)
-    ts = grid.axis_values(0)
+    ts, _ = _grid(args, "gamma_t").cells()
     values = [abs(states.decohere(state, t, args.nth).chi_normal(alpha))
               for t in ts]
     for prev, cur in zip(values, values[1:]):
@@ -172,65 +182,38 @@ def cmd_decay(args) -> int:
             print("warning: |chiN| is not monotone on this grid",
                   file=sys.stderr)
             break
-    lines = ["gamma_t,absChiN"]
-    lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(ts, values)]
-    _write(args, "\n".join(lines) + "\n")
+    _csv(args, "gamma_t,absChiN", zip(ts, values))
     return 0
 
 
 def cmd_ptmin(args) -> int:
-    grid = parse_grid(args.grid)
-    if len(grid.axes) != 2:
-        raise UsageError("ptmin needs a 2-axis grid (xi0, eps)")
-    xs, es = grid.axis_values(0), grid.axis_values(1)
-    cells = [(x, e) for x in xs for e in es]
-
-    def cell(point):
-        xi0, eps = point
-        if args.product:
-            state = states.ProductState(states.VACUUM, states.VACUUM)
-        else:
-            state = states.entangled_cat(xi0, +1)
-        return entanglement.ppt_min_eig(
-            state, entanglement.standard_settings(xi0, eps))
-
-    values = [cell(point) for point in cells]
-    lines = ["xi0,eps,lambda_min"]
-    lines += [f"{_fmt(x)},{_fmt(e)},{_fmt(v)}"
-              for (x, e), v in zip(cells, values)]
-    _write(args, "\n".join(lines) + "\n")
+    xs, es = _grid(args, "xi0", "eps").cells()
+    _csv(args, "xi0,eps,lambda_min",
+         [(x, e, entanglement.ppt_min_eig(
+             _pair(args, x), entanglement.standard_settings(x, e)))
+          for x, e in zip(xs, es)])
     return 0
 
 
 def cmd_witness(args) -> int:
-    grid = parse_grid(args.grid)
-    xs = grid.axis_values(0)
+    xs, _ = _grid(args, "xi0").cells()
 
     def cell(xi0):
         wd = entanglement.paper_witness(xi0, args.eps, args.w)
-        if args.product:
-            state = states.ProductState(states.VACUUM, states.VACUUM)
-        else:
-            state = states.entangled_cat(xi0, +1)
-        return entanglement.witness_expectation(state, wd)
+        return entanglement.witness_expectation(_pair(args, xi0), wd)
 
-    values = [cell(xi0) for xi0 in xs]
-    lines = ["xi0,expectation"]
-    lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, values)]
-    _write(args, "\n".join(lines) + "\n")
+    _csv(args, "xi0,expectation", [(x, cell(x)) for x in xs])
     return 0
 
 
 def cmd_ramsey(args) -> int:
-    state = parse_state(args.state)
-    if not isinstance(state, states.SingleModeState):
-        raise UsageError("ramsey needs a single-mode state")
+    state = _single_mode(args)
     alpha = _alpha_list(args)[0] if args.alpha else 0j
     setting = ramsey.RamseySetting(args.phi, alpha)
     p_plus, p_minus = ramsey.outcome_probabilities(state, setting)
     result = {
         "phi": args.phi,
-        "alpha": _cjson(alpha),
+        "alpha": [alpha.real, alpha.imag],
         "p_plus": p_plus,
         "p_minus": p_minus,
     }
@@ -261,12 +244,7 @@ def cmd_prepare(args) -> int:
         raise UsageError("prepare needs a coherent-superposition --psi")
     alpha = complex(args.alpha_re, args.alpha_im)
     setting = ramsey.RamseySetting(args.phi, alpha)
-    outcome = {"--": (-1, -1), "-+": (-1, +1), "+-": (+1, -1), "++": (+1, +1),
-               "gg": (-1, -1), "ge": (-1, +1), "eg": (+1, -1),
-               "ee": (+1, +1)}.get(args.outcome)
-    if outcome is None:
-        raise UsageError(f"bad outcome {args.outcome!r}, expected one of "
-                         "--, -+, +-, ++ (or gg, ge, eg, ee)")
+    outcome = OUTCOMES[args.outcome]
     state, prob = ramsey.prepare_conditional(psi, args.theta, args.phi0,
                                              setting, outcome, bell=args.bell)
     result = {"outcome": args.outcome, "probability": prob,
@@ -347,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--alpha-re", type=float, required=True)
     p.add_argument("--alpha-im", type=float, default=0.0)
-    p.add_argument("--outcome", required=True,
-                   help="qubit outcomes: gg, ge, eg, ee (aliases --, -+, ...)")
+    p.add_argument("--outcome", required=True, choices=tuple(OUTCOMES),
+                   help="qubit outcomes")
     p.add_argument("--bell", choices=["phi_plus", "psi_minus"],
                    default="phi_plus")
     p.set_defaults(fn=cmd_prepare)
@@ -359,6 +337,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # before Python 3.12, argparse parses "--opt=--" as an empty list,
+        # which no choices check sees
+        if any(v == [] or isinstance(v, list) and [] in v
+               for v in vars(args).values()):
+            parser.error("'--' is not an option value")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

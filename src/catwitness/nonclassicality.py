@@ -34,6 +34,19 @@ def nc1_excess(state: SingleModeState, alpha: complex) -> float:
     return abs(state.chi_normal(alpha)) - 1.0
 
 
+def _bochner(state: SingleModeState, pts) -> np.ndarray:
+    """M_ij = chi_N(alpha_i - alpha_j) over checked complex points, the
+    lower triangle filled by conjugation."""
+    n = len(pts)
+    m = np.eye(n, dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            val = state.chi_normal(pts[i] - pts[j])
+            m[i, j] = val
+            m[j, i] = val.conjugate()
+    return m
+
+
 def bochner_matrix(state: SingleModeState,
                    points: list[complex]) -> MomentMatrix:
     """M_ij = chi_N(alpha_i - alpha_j) over the given test points.
@@ -47,14 +60,7 @@ def bochner_matrix(state: SingleModeState,
     if len(set(pts)) < len(pts):
         warnings.warn("duplicate test points give a degenerate matrix",
                       stacklevel=2)
-    n = len(pts)
-    m = np.eye(n, dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = state.chi_normal(pts[i] - pts[j])
-            m[i, j] = val
-            m[j, i] = val.conjugate()
-    return MomentMatrix(pts, m)
+    return MomentMatrix(pts, _bochner(state, pts))
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
@@ -68,6 +74,10 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
 
 
+def _det(m: np.ndarray) -> float:
+    return np.linalg.det(m).real
+
+
 def nc2_certificate(state: SingleModeState,
                     points: list[complex]) -> tuple[float, float]:
     """(det, min eigenvalue) of the 3-point Bochner matrix; either going
@@ -77,9 +87,8 @@ def nc2_certificate(state: SingleModeState,
         raise ValueError(f"need exactly 3 points, got {len(pts)}")
     if pts[0] != 0:
         raise ValueError("points[0] must be 0")
-    m = bochner_matrix(state, pts)
-    det = np.linalg.det(m.entries).real
-    return det, min_eigenvalue(m.entries)
+    m = bochner_matrix(state, pts).entries
+    return _det(m), min_eigenvalue(m)
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +105,22 @@ class GridSpec:
         if not 1 <= len(self.axes) <= 2:
             raise ValueError("grid needs 1 or 2 axes")
         for start, stop, step in self.axes:
-            if step <= 0 or stop < start:
+            finite = all(map(math.isfinite, (start, stop, step)))
+            if not (finite and step > 0 and stop >= start
+                    and math.isfinite((stop - start) / step)):
                 raise ValueError(f"bad axis ({start}, {stop}, {step})")
 
     def axis_values(self, i: int) -> np.ndarray:
         start, stop, step = self.axes[i]
         n = int(math.floor((stop - start) / step + 0.5)) + 1
         return start + step * np.arange(n)
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(axis1, axis2) of every cell, row-major ascending; a one-axis
+        grid has axis2 = 0."""
+        ax1 = self.axis_values(0)
+        ax2 = self.axis_values(1) if len(self.axes) == 2 else np.zeros(1)
+        return np.repeat(ax1, ax2.size), np.tile(ax2, ax1.size)
 
 
 CERTIFICATES = ("nc1", "nc2-det", "nc2-eig")
@@ -128,45 +146,36 @@ class RegionScan:
         return "\n".join(lines) + "\n"
 
 
-def _cell_value(state, certificate, a1, a2, complex_grid):
-    if certificate == "nc1":
-        alpha = complex(a1, a2)
-        return nc1_excess(state, alpha)
-    p1 = complex(a1) if not complex_grid else complex(a1, 0.0)
-    p2 = complex(a2) if not complex_grid else complex(0.0, a2)
-    det, eig = nc2_certificate(state, [0.0, p1, p2])
-    return det if certificate == "nc2-det" else eig
-
-
 def region_scan(state: SingleModeState, grid: GridSpec, certificate: str,
-                threshold: float | None = None,
-                complex_grid: bool = False) -> RegionScan:
+                threshold: float | None = None) -> RegionScan:
     """Evaluate a certificate on every grid cell, row-major ascending.
 
     For "nc1" the cell (a1, a2) is the displacement a1 + i a2 and detection
     is value > threshold (default 0). For "nc2-det" / "nc2-eig" the cell is
-    the real point pair (a1, a2) and detection is value <= threshold
-    (default -0.01, the practical-detectability cut); complex_grid=True
-    instead takes alpha_1 = a1 and alpha_2 = i a2.
+    the real point pair (a1, a2), the Bochner matrix is taken over
+    {0, a1, a2}, and detection is value <= threshold (default -0.01, the
+    practical-detectability cut). Cells that repeat a point are reported in
+    one warning per scan.
     """
     if certificate not in CERTIFICATES:
         raise ValueError(f"unknown certificate {certificate!r}")
     if threshold is None:
         threshold = 0.0 if certificate == "nc1" else -0.01
-    ax1 = grid.axis_values(0)
-    ax2 = grid.axis_values(1) if len(grid.axes) == 2 else np.array([0.0])
-    if ax1.size == 0 or ax2.size == 0:
-        raise ValueError("empty grid")
-    col1, col2, values = [], [], []
-    for a1 in ax1:
-        for a2 in ax2:
-            col1.append(a1)
-            col2.append(a2)
-            values.append(_cell_value(state, certificate, a1, a2, complex_grid))
-    values = np.array(values)
+    axis1, axis2 = grid.cells()
     if certificate == "nc1":
+        values = np.array([nc1_excess(state, complex(a1, a2))
+                           for a1, a2 in zip(axis1, axis2)])
         detected = values > threshold
     else:
+        repeated = np.count_nonzero((axis1 == axis2) | (axis1 == 0)
+                                    | (axis2 == 0))
+        if repeated:
+            warnings.warn(f"{repeated} of {axis1.size} cells repeat a test "
+                          "point and give a degenerate matrix", stacklevel=2)
+        statistic = _det if certificate == "nc2-det" else min_eigenvalue
+        values = np.array([statistic(_bochner(state, (0j, complex(a1),
+                                                      complex(a2))))
+                           for a1, a2 in zip(axis1, axis2)])
         detected = values <= threshold
-    return RegionScan(grid, certificate, threshold, np.array(col1),
-                      np.array(col2), values, detected)
+    return RegionScan(grid, certificate, threshold, axis1, axis2, values,
+                      detected)

@@ -28,7 +28,6 @@ from .states import (
     TwoModeState,
 )
 
-HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-6
 CONVERGENCE_TOL = 1e-9
 MAX_DIM = 4096  # largest per-mode cutoff the doubling loop builds

@@ -175,9 +175,11 @@ def _check_weights(components):
 class Decohered(SingleModeState):
     """State after time gamma_t of damping into a bath with occupation n_th.
 
-    chi_N(alpha, t) = exp(-n_th (1 - e^{-gamma t}) |alpha|^2)
-                      * chi_N(alpha e^{-gamma t / 2})
-    evaluated on the wrapped state's chi_N.
+    chi(alpha, t) = exp(-(n_th + 1/2) (1 - e^{-gamma t}) |alpha|^2)
+                    * chi(alpha e^{-gamma t / 2})
+    evaluated on the wrapped state's chi, so one Gaussian factor carries
+    both the bath and the symmetric ordering and stays finite where
+    chi_N's e^{|alpha|^2/2} would overflow.
     """
 
     inner: SingleModeState
@@ -190,16 +192,11 @@ class Decohered(SingleModeState):
         if not (math.isfinite(self.n_th) and self.n_th >= 0):
             raise ValueError(f"n_th must be >= 0, got {self.n_th}")
 
-    def chi_normal(self, alpha: complex) -> complex:
-        alpha = _check_finite(alpha)
-        damp = math.exp(-self.gamma_t / 2.0)
-        thermal_factor = math.exp(
-            -self.n_th * (1.0 - damp * damp) * abs(alpha) ** 2)
-        return thermal_factor * self.inner.chi_normal(alpha * damp)
-
     def chi(self, alpha: complex) -> complex:
         alpha = _check_finite(alpha)
-        return math.exp(-abs(alpha) ** 2 / 2.0) * self.chi_normal(alpha)
+        loss = -math.expm1(-self.gamma_t)
+        return (math.exp(-(self.n_th + 0.5) * loss * abs(alpha) ** 2)
+                * self.inner.chi(alpha * math.exp(-self.gamma_t / 2.0)))
 
 
 @dataclass(frozen=True)

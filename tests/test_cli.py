@@ -89,6 +89,8 @@ def test_chi_grid(capsys):
     ("chi", "--state", "vac", "--alpha", "1", "--threads", "2"),
     ("ptmin", "--grid", "1:1:1,1:1:1", "--verify"),
     ("witness", "--grid", "1:1:1", "--format", "json"),
+    ("witness", "--grid", "0.5:0.6:0.1,7:9:1"),
+    ("decay", "--state", "cat:2,0", "--alpha", "2", "--grid", "0:1:0.5,7:9:1"),
 ])
 def test_options_without_effect_are_rejected(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -102,6 +104,10 @@ def test_chi_usage_errors(capsys):
     assert "error" in err
     code, _, err = run(capsys, "chi", "--state", "entcat:1,+", "--alpha", "1")
     assert code == 2
+    code, out, err = run(capsys, "chi", "--state", "vac",
+                         "--grid", "0:inf:0.1")
+    assert (code, out) == (2, "")
+    assert "bad axis" in err
 
 
 def test_ncregion_csv(capsys):
@@ -133,6 +139,9 @@ def test_ptmin_entangled_vs_product(capsys):
     code, out, _ = run(capsys, "ptmin", "--grid", "1:1:1,1.5:1.5:1",
                        "--product")
     assert float(out.strip().split("\n")[1].split(",")[2]) > -1e-10
+    code, _, err = run(capsys, "ptmin")
+    assert code == 2
+    assert "needs --grid" in err
 
 
 def test_witness_sign_change(capsys):
@@ -183,6 +192,14 @@ def test_prepare_bad_outcome(capsys):
                        "--outcome", "xx")
     assert code == 2
     assert "outcome" in err
+    # the sign spellings are gone; "--" is rejected, not a crash
+    code, _, err = run(capsys, "prepare", "--psi", "vac", "--alpha-re", "1",
+                       "--outcome=--")
+    assert code == 2
+    assert "Traceback" not in err
+    for argv in (("chi", "--state=--", "--alpha", "1"),
+                 ("chi", "--state", "vac", "--alpha=--")):
+        assert run(capsys, *argv)[0] == 2
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,10 +111,20 @@ def test_nc2_point_validation():
 def test_grid_spec_axis_values():
     g = GridSpec(((0.0, 1.0, 0.25),))
     assert np.allclose(g.axis_values(0), [0.0, 0.25, 0.5, 0.75, 1.0])
+    a1, a2 = g.cells()
+    assert np.array_equal(a1, g.axis_values(0))
+    assert np.array_equal(a2, np.zeros(5))
+    a1, a2 = GridSpec(((0.0, 1.0, 0.5), (2.0, 3.0, 1.0))).cells()
+    assert a1.tolist() == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
+    assert a2.tolist() == [2.0, 3.0, 2.0, 3.0, 2.0, 3.0]
     with pytest.raises(ValueError):
         GridSpec(((0.0, 1.0, 0.25), (0.0, 1.0, 0.25), (0.0, 1.0, 0.25)))
-    with pytest.raises(ValueError):
-        GridSpec(((1.0, 0.0, 0.25),))
+    inf, nan = math.inf, math.nan
+    for axis in ((1.0, 0.0, 0.25), (0.0, inf, 0.1), (0.5, 0.6, 1e-320),
+                 (0.0, 1.0, nan), (0.0, 1.0, inf), (-inf, 0.0, 1.0),
+                 (nan, 1.0, 1.0), (-1e308, 1e308, 1.0)):
+        with pytest.raises(ValueError, match="bad axis"):
+            GridSpec((axis,))
 
 
 def test_region_scan_nc1_detects_cat_lobe():
@@ -145,6 +156,20 @@ def test_region_scan_csv_format():
     assert cols[3] in ("0", "1")
     # round-trip at full precision
     assert float(cols[2]) == scan.values[0]
+
+
+def test_region_scan_warns_once_per_scan():
+    grid = GridSpec(((0.0, 1.0, 0.5), (0.0, 1.0, 0.5)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        region_scan(VACUUM, grid, "nc2-det")
+    # the 5 cells with a zero point and (0.5, 0.5), (1, 1) repeat a point
+    assert len(caught) == 1
+    assert issubclass(caught[0].category, UserWarning)
+    assert "7 of 9" in str(caught[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        region_scan(VACUUM, grid, "nc1")
 
 
 def test_region_scan_rejects_unknown_certificate():

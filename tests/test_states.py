@@ -150,6 +150,8 @@ def test_decohered_limits():
     dec = decohere(base, 0.25, 10.0)
     assert abs(dec.chi_normal(2.0)) == pytest.approx(
         0.00041900257328541287, abs=1e-12)
+    # one Gaussian exponent: no e^{|alpha|^2/2} overflow at large amplitude
+    assert abs(decohere(base, 0.1, 0.0).chi(40.0)) < 1e-300
 
 
 def test_decohered_composes():
