@@ -26,7 +26,6 @@ from .states import (
 )
 from .nonclassicality import (
     GridSpec,
-    MomentMatrix,
     RegionScan,
     bochner_matrix,
     min_eigenvalue,
@@ -53,7 +52,6 @@ from .ramsey import (
 )
 from .entanglement import (
     DisplacementWord,
-    MomentMatrix9,
     Settings,
     WitnessDescriptor,
     canonical_eta,

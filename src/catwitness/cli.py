@@ -1,7 +1,8 @@
 """Command-line front end emitting reproducible CSV/JSON artifacts.
 
 Subcommands: chi, ncregion, decay, ptmin, witness, ramsey, prepare.
-Exit codes: 0 success, 2 usage error, 3 numeric/consistency failure.
+Exit codes: 0 success, 2 usage error or floating-point overflow,
+3 numeric/consistency failure.
 """
 
 from __future__ import annotations
@@ -348,6 +349,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: overflow, the result is out of floating-point range "
+              f"({exc})", file=sys.stderr)
         return 2
     except (ConsistencyError, ArithmeticError) as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .nonclassicality import min_eigenvalue
+from .nonclassicality import _hermitian, _triu, min_eigenvalue
 from .states import TwoModeState, _check_finite
 
 PHASE_TOL = 1e-12
@@ -51,18 +51,11 @@ class DisplacementWord:
 IDENTITY_WORD = DisplacementWord(1.0, 0.0, 0.0)
 
 
-def _product_phase(x1: complex, y1: complex, x2: complex,
-                   y2: complex) -> complex:
-    """e^{i Im(x1 y1* + x2 y2*)}, the phase of D(x1)D(y1) x D(x2)D(y2) by
-    the product rule D(x)D(y) = e^{i Im(x y*)} D(x + y)."""
-    return cmath.exp(1j * ((x1 * y1.conjugate()).imag
-                           + (x2 * y2.conjugate()).imag))
-
-
 def word_product(a: DisplacementWord, b: DisplacementWord) -> DisplacementWord:
     """Operator product a.b via D(x)D(y) = e^{i Im(x y*)} D(x + y) per mode."""
-    phase = a.phase * b.phase * _product_phase(a.amp1, b.amp1,
-                                               a.amp2, b.amp2)
+    phase = a.phase * b.phase * cmath.exp(
+        1j * ((a.amp1 * b.amp1.conjugate()).imag
+              + (a.amp2 * b.amp2.conjugate()).imag))
     # renormalize the modulus; rounding drift otherwise accumulates
     phase /= abs(phase)
     return DisplacementWord(phase, a.amp1 + b.amp1, a.amp2 + b.amp2)
@@ -97,48 +90,26 @@ def standard_settings(xi0: float, eps: float) -> Settings:
     return Settings(a1, a2, -a1, -a2)
 
 
-@dataclass(frozen=True)
-class MomentMatrix9:
-    """9x9 Gram matrix of the two-mode displacement words on a state.
-
-    Basis index (i, j) -> 3 i + j with i over mode-1 operators
-    {1, D(alpha_1), D(alpha_2)} and j over mode-2 {1, D(beta_1), D(beta_2)}.
-    correlations maps the distinct evaluation points (amp1, amp2), one
-    representative per conjugate pair, to the chi2 values behind the matrix.
-    """
-
-    settings: Settings
-    entries: np.ndarray
-    correlations: dict
-
-
-def _canonical_point(a1: complex, a2: complex):
-    """Pick one representative of {(a1, a2), (-a1, -a2)} deterministically."""
-    key = (a1.real, a1.imag, a2.real, a2.imag)
-    neg = (-a1.real, -a1.imag, -a2.real, -a2.imag)
-    return key if key >= neg else neg
-
-
 def _gram_words(mode1, mode2):
-    """(a, b, phase, u, v) with V_a^dag V_b = phase D(u) x D(v) for every
-    a < b, over the words V = D(x) x D(y), x in mode1 and y in mode2, word
-    index a = len(mode2) i + j."""
-    words = [(x, y) for x in mode1 for y in mode2]
-    for a, (xa, ya) in enumerate(words):
-        for b in range(a + 1, len(words)):
-            xb, yb = words[b]
-            yield a, b, _product_phase(-xa, xb, -ya, yb), xb - xa, yb - ya
+    """(phase, u, v) arrays with V_a^dag V_b = phase D(u) x D(v) for the
+    word pairs a < b in np.triu_indices order, over the words
+    V = D(x) x D(y), x in mode1 and y in mode2, word index
+    a = len(mode2) i + j."""
+    x = np.repeat(np.asarray(mode1, dtype=complex), len(mode2))
+    y = np.tile(np.asarray(mode2, dtype=complex), len(mode1))
+    a, b, _ = _triu(x.size)
+    # D(-x_a) D(x_b) = e^{i Im(-x_a x_b*)} D(x_b - x_a), per mode
+    phase = np.exp(1j * ((x[a].real * x[b].imag - x[a].imag * x[b].real)
+                         + (y[a].real * y[b].imag - y[a].imag * y[b].real)))
+    return phase, x[b] - x[a], y[b] - y[a]
 
 
 def _gram(chi2, mode1, mode2) -> np.ndarray:
     """Gram matrix <V_a^dag V_b> over the words of _gram_words, with
-    chi2(u, v) = <D(u) x D(v)>. Only the upper triangle is evaluated; the
-    diagonal is 1 and the lower triangle is its exact conjugate."""
-    m = np.eye(len(mode1) * len(mode2), dtype=complex)
-    for a, b, phase, u, v in _gram_words(mode1, mode2):
-        m[a, b] = phase * chi2(u, v)
-        m[b, a] = m[a, b].conjugate()
-    return m
+    chi2(u, v) = <D(u) x D(v)> evaluated on the upper triangle only."""
+    words = zip(*(w.tolist() for w in _gram_words(mode1, mode2)))
+    return _hermitian([phase * chi2(u, v) for phase, u, v in words],
+                      len(mode1) * len(mode2))
 
 
 def _modes(settings: Settings):
@@ -146,25 +117,20 @@ def _modes(settings: Settings):
             (0j, settings.beta1, settings.beta2))
 
 
-def moments9(state: TwoModeState, settings: Settings) -> MomentMatrix9:
-    """Build the 9x9 moment matrix M_ab = <(V_a)^dag V_b> via chi2."""
-    correlations = {}
-
-    def chi2(u, v):
-        val = state.chi2(u, v)
-        correlations.setdefault(_canonical_point(u, v), val)
-        return val
-
-    return MomentMatrix9(settings, _gram(chi2, *_modes(settings)),
-                         correlations)
+def moments9(state: TwoModeState, settings: Settings) -> np.ndarray:
+    """The 9x9 moment matrix M_ab = <(V_a)^dag V_b> via chi2, Hermitian
+    with unit diagonal. Basis index (i, j) -> 3 i + j with i over mode-1
+    operators {1, D(alpha_1), D(alpha_2)} and j over mode-2
+    {1, D(beta_1), D(beta_2)}."""
+    return _gram(state.chi2, *_modes(settings))
 
 
-def partial_transpose(m) -> np.ndarray:
+def partial_transpose(m: np.ndarray) -> np.ndarray:
     """Transpose the mode-1 indices: [M^G]_(i,j),(k,l) = M_(k,j),(i,l)."""
-    entries = m.entries if isinstance(m, MomentMatrix9) else np.asarray(m)
-    if entries.shape != (9, 9):
-        raise ValueError(f"expected a 9x9 matrix, got {entries.shape}")
-    return entries.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(9, 9)
+    m = np.asarray(m)
+    if m.shape != (9, 9):
+        raise ValueError(f"expected a 9x9 matrix, got {m.shape}")
+    return m.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(9, 9)
 
 
 def ppt_min_eig(state: TwoModeState, settings: Settings) -> float:
@@ -221,13 +187,14 @@ def witness_from_eta(eta: np.ndarray, settings: Settings) -> WitnessDescriptor:
     if abs(np.linalg.norm(eta) - 1.0) > IMAG_TOL:
         raise ValueError(f"eta must have unit norm, got {np.linalg.norm(eta)!r}")
     # eta^dag M^G eta = tr{M Q} with Q = (eta eta^dag)^G, as the partial
-    # transpose is self-adjoint under the trace; M_cc = 1 and
-    # M_dc = M_cd^dag leave only the words above the diagonal
-    q = partial_transpose(np.outer(eta, eta.conj())).tolist()
-    raw = [(sum(q[c][c] for c in range(9)), 0j, 0j)]
-    for c, d, phase, u, v in _gram_words(*_modes(settings)):
-        raw.append((q[d][c] * phase, u, v))
-        raw.append((q[c][d] * phase.conjugate(), -u, -v))
+    # transpose is self-adjoint under the trace; M_cc = 1, and as M and Q
+    # are Hermitian each word pair c < d adds Q_dc M_cd and its conjugate
+    q = partial_transpose(np.outer(eta, eta.conj()))
+    c, d, _ = _triu(9)
+    phase, u, v = _gram_words(*_modes(settings))
+    raw = [(sum(np.diag(q).tolist()), 0j, 0j)]
+    for coeff, x, y in zip((q[d, c] * phase).tolist(), u.tolist(), v.tolist()):
+        raw += [(coeff, x, y), (coeff.conjugate(), -x, -y)]
     return _reduce_terms(raw, {"settings": settings, "eta": tuple(eta)})
 
 

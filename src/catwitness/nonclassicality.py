@@ -9,6 +9,7 @@ sweep either certificate over a phase-space grid.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,15 +19,30 @@ import numpy as np
 from .states import SingleModeState, _check_finite
 
 HERMITIAN_TOL = 1e-10
+# a scan builds per-cell arrays, so larger grids are refused up front
+MAX_CELLS = 10**6
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
-    """Bochner-Khinchin matrix with its test points (points[0] is 0 by
-    convention)."""
+@functools.cache
+def _triu(n: int):
+    """(rows, cols) of np.triu_indices(n, 1) and np.arange(n), kept per
+    size: building them costs more than filling a small matrix."""
+    rows, cols = np.triu_indices(n, 1)
+    return rows, cols, np.arange(n)
 
-    points: tuple[complex, ...]
-    entries: np.ndarray
+
+def _hermitian(upper, n: int) -> np.ndarray:
+    """(..., n, n) matrices from their upper-triangle values (..., n(n-1)/2)
+    in np.triu_indices(n, 1) order: the lower triangle is the exact
+    conjugate and the diagonal is 1, so every moment matrix is Hermitian
+    with unit diagonal as constructed."""
+    upper = np.asarray(upper, dtype=complex)
+    rows, cols, diag = _triu(n)
+    m = np.empty(upper.shape[:-1] + (n, n), dtype=complex)
+    m[..., rows, cols] = upper
+    m[..., cols, rows] = upper.conj()
+    m[..., diag, diag] = 1.0
+    return m
 
 
 def nc1_excess(state: SingleModeState, alpha: complex) -> float:
@@ -35,47 +51,41 @@ def nc1_excess(state: SingleModeState, alpha: complex) -> float:
 
 
 def _bochner(state: SingleModeState, pts) -> np.ndarray:
-    """M_ij = chi_N(alpha_i - alpha_j) over checked complex points, the
-    lower triangle filled by conjugation."""
-    n = len(pts)
-    m = np.eye(n, dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = state.chi_normal(pts[i] - pts[j])
-            m[i, j] = val
-            m[j, i] = val.conjugate()
-    return m
+    """M_ij = chi_N(p_i - p_j) over a (..., n) stack of checked complex
+    points, one chi_N call per upper-triangle entry."""
+    pts = np.asarray(pts, dtype=complex)
+    n = pts.shape[-1]
+    rows, cols, _ = _triu(n)
+    diffs = pts[..., rows] - pts[..., cols]
+    values = [state.chi_normal(d) for d in diffs.ravel().tolist()]
+    return _hermitian(np.array(values, dtype=complex).reshape(diffs.shape), n)
 
 
 def bochner_matrix(state: SingleModeState,
-                   points: list[complex]) -> MomentMatrix:
-    """M_ij = chi_N(alpha_i - alpha_j) over the given test points.
-
-    The lower triangle is filled by conjugation, so the output is Hermitian
-    with unit diagonal exactly as constructed.
-    """
-    pts = tuple(_check_finite(p) for p in points)
+                   points: list[complex]) -> np.ndarray:
+    """M_ij = chi_N(alpha_i - alpha_j) over the given test points, a
+    Hermitian ndarray with unit diagonal."""
+    pts = [_check_finite(p) for p in points]
     if len(pts) < 2:
         raise ValueError("need at least 2 test points")
     if len(set(pts)) < len(pts):
         warnings.warn("duplicate test points give a degenerate matrix",
                       stacklevel=2)
-    return MomentMatrix(pts, _bochner(state, pts))
+    return _bochner(state, pts)
 
 
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix, from complex eigvalsh on
-    its Hermitian part after a Hermiticity check."""
+def min_eigenvalue(m: np.ndarray):
+    """Smallest eigenvalue of a Hermitian matrix (a float), or of each
+    matrix of a (..., n, n) stack (an array), from complex eigvalsh on the
+    Hermitian part after a Hermiticity check."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+    adjoint = m.conj().swapaxes(-1, -2)
+    if np.max(np.abs(m - adjoint)) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-
-
-def _det(m: np.ndarray) -> float:
-    return np.linalg.det(m).real
+    low = np.linalg.eigvalsh((m + adjoint) / 2.0)[..., 0]
+    return float(low) if m.ndim == 2 else low
 
 
 def nc2_certificate(state: SingleModeState,
@@ -87,13 +97,17 @@ def nc2_certificate(state: SingleModeState,
         raise ValueError(f"need exactly 3 points, got {len(pts)}")
     if pts[0] != 0:
         raise ValueError("points[0] must be 0")
-    m = bochner_matrix(state, pts).entries
-    return _det(m), min_eigenvalue(m)
+    m = bochner_matrix(state, pts)
+    return np.linalg.det(m).real, min_eigenvalue(m)
 
 
 # ---------------------------------------------------------------------------
 # Grid scans
 # ---------------------------------------------------------------------------
+
+def _axis_size(start: float, stop: float, step: float) -> int:
+    return int(math.floor((stop - start) / step + 0.5)) + 1
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -109,11 +123,14 @@ class GridSpec:
             if not (finite and step > 0 and stop >= start
                     and math.isfinite((stop - start) / step)):
                 raise ValueError(f"bad axis ({start}, {stop}, {step})")
+        cells = math.prod(_axis_size(*axis) for axis in self.axes)
+        if cells > MAX_CELLS:
+            raise ValueError(f"grid has {cells} cells, above the cap of "
+                             f"{MAX_CELLS}")
 
     def axis_values(self, i: int) -> np.ndarray:
-        start, stop, step = self.axes[i]
-        n = int(math.floor((stop - start) / step + 0.5)) + 1
-        return start + step * np.arange(n)
+        start, _, step = self.axes[i]
+        return start + step * np.arange(_axis_size(*self.axes[i]))
 
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(axis1, axis2) of every cell, row-major ascending; a one-axis
@@ -172,10 +189,10 @@ def region_scan(state: SingleModeState, grid: GridSpec, certificate: str,
         if repeated:
             warnings.warn(f"{repeated} of {axis1.size} cells repeat a test "
                           "point and give a degenerate matrix", stacklevel=2)
-        statistic = _det if certificate == "nc2-det" else min_eigenvalue
-        values = np.array([statistic(_bochner(state, (0j, complex(a1),
-                                                      complex(a2))))
-                           for a1, a2 in zip(axis1, axis2)])
+        m = _bochner(state, np.stack([np.zeros_like(axis1), axis1, axis2],
+                                     axis=-1))
+        values = (np.linalg.det(m).real if certificate == "nc2-det"
+                  else min_eigenvalue(m))
         detected = values <= threshold
     return RegionScan(grid, certificate, threshold, axis1, axis2, values,
                       detected)

@@ -132,10 +132,14 @@ class FockState(SingleModeState):
         x = abs(alpha) ** 2
         return complex(math.exp(-x / 2.0) * eval_laguerre(self.n, x))
 
+    def chi_normal(self, alpha: complex) -> complex:
+        return complex(eval_laguerre(self.n, abs(_check_finite(alpha)) ** 2))
+
 
 @dataclass(frozen=True)
 class ThermalState(SingleModeState):
-    """Thermal state with mean occupation n_th; guaranteed-classical control."""
+    """Thermal state with mean occupation n_th; guaranteed-classical control,
+    chi_N = exp(-n_th |alpha|^2)."""
 
     n_th: float
 
@@ -146,6 +150,9 @@ class ThermalState(SingleModeState):
     def chi(self, alpha: complex) -> complex:
         alpha = _check_finite(alpha)
         return complex(math.exp(-(2 * self.n_th + 1) * abs(alpha) ** 2 / 2.0))
+
+    def chi_normal(self, alpha: complex) -> complex:
+        return complex(math.exp(-self.n_th * abs(_check_finite(alpha)) ** 2))
 
 
 @dataclass(frozen=True)
@@ -159,6 +166,9 @@ class Mixture(SingleModeState):
 
     def chi(self, alpha: complex) -> complex:
         return sum(w * s.chi(alpha) for w, s in self.components)
+
+    def chi_normal(self, alpha: complex) -> complex:
+        return sum(w * s.chi_normal(alpha) for w, s in self.components)
 
 
 def _check_weights(components):

@@ -51,6 +51,9 @@ def report(num, desc, ok, detail=""):
         line += f" -- {detail}"
     print(line)
     conftest.acceptance_lines.append(line)
+    conftest.acceptance_records.append(
+        {"criterion": num, "result": "PASS" if ok else "FAIL",
+         "description": desc, "detail": detail})
     assert ok, line
 
 
@@ -322,7 +325,7 @@ def test_criterion_10_oracle_equivalence():
         a, b = sorted(rng.choice(9, size=2, replace=False))
         w = word_product(words[a].dagger(), words[b])
         ref = w.phase * oracle_chi2(state, w.amp1, w.amp2)
-        worst = max(worst, abs(m.entries[a, b] - ref))
+        worst = max(worst, abs(m[a, b] - ref))
     # 10 cases: the full witness expectation
     for _ in range(10):
         xi0 = float(rng.uniform(0.4, 0.7))

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from catwitness import cat_state, entangled_cat, oracle, states
+from catwitness import (cat_state, entangled_cat, nonclassicality, oracle,
+                        states)
 from catwitness.cli import main, parse_grid, parse_state, UsageError
 
 
@@ -40,6 +41,29 @@ def test_parse_grid():
         parse_grid("0:1")
     with pytest.raises(UsageError):
         parse_grid("0:1:x")
+
+
+def test_grid_cell_cap(capsys, monkeypatch):
+    # the cap is checked from the point counts, before any axis is built
+    monkeypatch.setattr(nonclassicality.np, "arange", None)
+    with pytest.raises(UsageError, match="1000000001 cells.*1000000"):
+        parse_grid("0:1:1e-9")
+    with pytest.raises(UsageError, match="1002001 cells"):
+        parse_grid("0:1:1e-3,0:1:1e-3")
+    code, out, err = run(capsys, "ncregion", "--state", "vac",
+                         "--grid", "0:1:1e-9")
+    assert (code, out) == (2, "")
+    assert "cap" in err
+
+
+def test_overflow_exits_2(capsys):
+    code, out, _ = run(capsys, "ncregion", "--state", "fock:1",
+                       "--grid", "39:40:1", "--certificate", "nc1")
+    assert code == 0
+    assert out.strip().split("\n")[1:] == ["39,0,1519,1", "40,0,1598,1"]
+    code, out, err = run(capsys, "chi", "--state", "cat:2,0", "--alpha", "40")
+    assert (code, out) == (2, "")
+    assert "overflow" in err
 
 
 def test_chi_csv_output(capsys):

@@ -56,9 +56,9 @@ def test_bochner_matrix_structure():
     state = cat_state(1.5, 0.0)
     pts = [0.0, 0.7, -0.4 + 0.3j]
     m = bochner_matrix(state, pts)
-    assert np.array_equal(m.entries, m.entries.conj().T)
-    assert np.max(np.abs(np.diag(m.entries) - 1.0)) < 1e-14
-    assert m.entries[0, 1] == pytest.approx(state.chi_normal(-0.7), abs=1e-12)
+    assert np.array_equal(m, m.conj().T)
+    assert np.max(np.abs(np.diag(m) - 1.0)) < 1e-14
+    assert m[0, 1] == pytest.approx(state.chi_normal(-0.7), abs=1e-12)
 
 
 def test_bochner_matrix_duplicate_warning():
@@ -75,6 +75,21 @@ def test_min_eigenvalue_matches_eigvalsh():
             float(np.linalg.eigvalsh(h)[0]), abs=1e-10)
     with pytest.raises(ValueError):
         min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_min_eigenvalue_of_a_stack():
+    rng = np.random.default_rng(45)
+    g = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    h = g + g.conj().swapaxes(-1, -2)
+    low = min_eigenvalue(h)
+    assert low.shape == (2, 3)
+    assert np.array_equal(low, np.linalg.eigvalsh(h)[..., 0])
+    assert type(min_eigenvalue(h[1, 2])) is float
+    h[1, 2, 0, 3] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        min_eigenvalue(h)
+    with pytest.raises(ValueError, match="square"):
+        min_eigenvalue(np.ones((2, 3, 4)))
 
 
 def test_nc2_classical_states_stay_psd():
@@ -96,7 +111,7 @@ def test_nc2_two_point_reduction():
     for _ in range(100):
         a = complex(*rng.standard_normal(2)) * 1.5
         m = bochner_matrix(state, [0.0, a])
-        eig = min_eigenvalue(m.entries)
+        eig = min_eigenvalue(m)
         excess = abs(state.chi_normal(a)) - 1.0
         assert (eig < 0) == (excess > 0) or abs(excess) < 1e-12
 

@@ -189,7 +189,7 @@ def test_moments4_is_the_moments9_block():
     assert len(pair.terms) == 16
     for state in (entangled_cat(1.0, +1), pair,
                   ProductState(cat_state(1.2, 0.5), VACUUM)):
-        block = moments9(state, Settings(a, a2, b, b2)).entries[
+        block = moments9(state, Settings(a, a2, b, b2))[
             np.ix_([0, 1, 3, 4], [0, 1, 3, 4])]
         assert np.array_equal(moments4(state, a, b), block)
 

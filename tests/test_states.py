@@ -91,6 +91,19 @@ def test_fock_chi_normal_is_laguerre():
     assert chi(FockState(1), 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
+
+def test_chi_normal_stays_finite_where_chi_underflows():
+    # at |alpha| = 40, e^{|alpha|^2/2} overflows although chi_N is small
+    assert FockState(1).chi_normal(40) == -1599
+    assert FockState(2).chi_normal(40j) == 1 - 2 * 1600 + 1600 ** 2 / 2
+    assert ThermalState(0.0).chi_normal(40) == 1
+    assert ThermalState(0.5).chi_normal(1.5) == pytest.approx(
+        math.exp(-0.5 * 2.25), abs=1e-15)
+    mix = Mixture(((0.25, FockState(1)), (0.75, ThermalState(0.0))))
+    assert mix.chi_normal(40) == 0.25 * -1599 + 0.75
+    with pytest.raises(OverflowError):
+        cat_state(2.0, 0.0).chi_normal(40)
+
 def test_coherent_state_chi():
     # single coherent state |xi>: chi(alpha) = e^{-|alpha|^2/2} e^{2i Im(alpha xi*)}
     xi = 0.8 - 0.5j
