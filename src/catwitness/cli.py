@@ -8,9 +8,12 @@ Exit codes: 0 success, 2 usage error or floating-point overflow,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import entanglement, nonclassicality, oracle, ramsey, states
 
@@ -143,9 +146,7 @@ def cmd_chi(args) -> int:
     state = _single_mode(args)
     alphas = _alpha_list(args)
 
-    def row(alpha):
-        c = state.chi(alpha)
-        cn = state.chi_normal(alpha)
+    def row(alpha, c, cn):
         cells = [alpha.real, alpha.imag, c.real, c.imag, cn.real, cn.imag]
         if args.verify:
             delta = abs(c - oracle.oracle_chi(state, alpha))
@@ -158,7 +159,9 @@ def cmd_chi(args) -> int:
     header = "alpha_re,alpha_im,chi_re,chi_im,chiN_re,chiN_im"
     if args.verify:
         header += ",oracle_delta"
-    _csv(args, header, [row(alpha) for alpha in alphas])
+    points = np.array(alphas, dtype=complex)
+    _csv(args, header, map(row, alphas, state.chi(points).tolist(),
+                           state.chi_normal(points).tolist()))
     return 0
 
 
@@ -188,11 +191,13 @@ def cmd_decay(args) -> int:
 
 
 def cmd_ptmin(args) -> int:
-    xs, es = _grid(args, "xi0", "eps").cells()
-    _csv(args, "xi0,eps,lambda_min",
-         [(x, e, entanglement.ppt_min_eig(
-             _pair(args, x), entanglement.standard_settings(x, e)))
-          for x, e in zip(xs, es)])
+    # the state depends on xi0 only: one stacked call per xi0 row
+    grid = _grid(args, "xi0", "eps")
+    eps = grid.axis_values(1)
+    low = [entanglement.ppt_min_eig(_pair(args, x),
+                                    entanglement.standard_settings(x, eps))
+           for x in grid.axis_values(0)]
+    _csv(args, "xi0,eps,lambda_min", zip(*grid.cells(), np.concatenate(low)))
     return 0
 
 
@@ -254,7 +259,9 @@ def cmd_prepare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; main looks up cmd_<command> at each call."""
     parser = argparse.ArgumentParser(
         prog="catwitness",
         description="Non-classicality tests and entanglement witnesses for "
@@ -274,27 +281,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check against the Fock-space oracle")
     p.add_argument("--alpha", action="append",
                    help="displacement re[/im]; repeatable")
-    p.set_defaults(fn=cmd_chi)
 
     p = sub.add_parser("ncregion", help="non-classicality region scan")
     common(p)
     p.add_argument("--certificate", choices=nonclassicality.CERTIFICATES,
                    default="nc2-det")
     p.add_argument("--threshold", type=float, default=None)
-    p.set_defaults(fn=cmd_ncregion)
 
     p = sub.add_parser("decay", help="|chi_N| of the decohered state vs time")
     common(p)
     p.add_argument("--alpha", action="append", help="displacement re[/im]")
     p.add_argument("--nth", type=float, default=0.0)
-    p.set_defaults(fn=cmd_decay)
 
     p = sub.add_parser("ptmin", help="min eigenvalue of the partially "
                                      "transposed 9x9 moment matrix")
     common(p, state=False)
     p.add_argument("--product", action="store_true",
                    help="separable control instead of the entangled cat")
-    p.set_defaults(fn=cmd_ptmin)
 
     p = sub.add_parser("witness", help="expectation of the explicit witness")
     common(p, state=False)
@@ -302,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=float, default=0.4247)
     p.add_argument("--product", action="store_true",
                    help="separable control instead of the entangled cat")
-    p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("ramsey", help="outcome probabilities and conditional "
                                       "states of one Ramsey measurement")
@@ -315,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the --shots sampling")
-    p.set_defaults(fn=cmd_ramsey)
 
     p = sub.add_parser("prepare", help="two-mode conditional preparation")
     common(p, state=False, grid=False)
@@ -330,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="qubit outcomes")
     p.add_argument("--bell", choices=["phi_plus", "psi_minus"],
                    default="phi_plus")
-    p.set_defaults(fn=cmd_prepare)
     return parser
 
 
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -94,22 +94,24 @@ def _gram_words(mode1, mode2):
     """(phase, u, v) arrays with V_a^dag V_b = phase D(u) x D(v) for the
     word pairs a < b in np.triu_indices order, over the words
     V = D(x) x D(y), x in mode1 and y in mode2, word index
-    a = len(mode2) i + j."""
-    x = np.repeat(np.asarray(mode1, dtype=complex), len(mode2))
-    y = np.tile(np.asarray(mode2, dtype=complex), len(mode1))
-    a, b, _ = _triu(x.size)
+    a = len(mode2) i + j. Mode entries may be arrays of one broadcast
+    shape, which then leads the returned arrays."""
+    n1, n2 = len(mode1), len(mode2)
+    amps = np.stack(np.broadcast_arrays(*mode1, *mode2), -1).astype(complex)
+    a, b, _ = _triu(n1 * n2)
+    x_a, x_b = amps[..., a // n2], amps[..., b // n2]
+    y_a, y_b = amps[..., n1 + a % n2], amps[..., n1 + b % n2]
     # D(-x_a) D(x_b) = e^{i Im(-x_a x_b*)} D(x_b - x_a), per mode
-    phase = np.exp(1j * ((x[a].real * x[b].imag - x[a].imag * x[b].real)
-                         + (y[a].real * y[b].imag - y[a].imag * y[b].real)))
-    return phase, x[b] - x[a], y[b] - y[a]
+    phase = np.exp(1j * ((x_a.real * x_b.imag - x_a.imag * x_b.real)
+                         + (y_a.real * y_b.imag - y_a.imag * y_b.real)))
+    return phase, x_b - x_a, y_b - y_a
 
 
 def _gram(chi2, mode1, mode2) -> np.ndarray:
-    """Gram matrix <V_a^dag V_b> over the words of _gram_words, with
-    chi2(u, v) = <D(u) x D(v)> evaluated on the upper triangle only."""
-    words = zip(*(w.tolist() for w in _gram_words(mode1, mode2)))
-    return _hermitian([phase * chi2(u, v) for phase, u, v in words],
-                      len(mode1) * len(mode2))
+    """Gram matrix <V_a^dag V_b> over the words of _gram_words, with one
+    chi2(u, v) = <D(u) x D(v)> call over the upper triangle only."""
+    phase, u, v = _gram_words(mode1, mode2)
+    return _hermitian(phase * chi2(u, v), len(mode1) * len(mode2))
 
 
 def _modes(settings: Settings):
@@ -121,21 +123,24 @@ def moments9(state: TwoModeState, settings: Settings) -> np.ndarray:
     """The 9x9 moment matrix M_ab = <(V_a)^dag V_b> via chi2, Hermitian
     with unit diagonal. Basis index (i, j) -> 3 i + j with i over mode-1
     operators {1, D(alpha_1), D(alpha_2)} and j over mode-2
-    {1, D(beta_1), D(beta_2)}."""
+    {1, D(beta_1), D(beta_2)}. Settings with array fields give a
+    (..., 9, 9) stack, one matrix per point of their broadcast shape."""
     return _gram(state.chi2, *_modes(settings))
 
 
 def partial_transpose(m: np.ndarray) -> np.ndarray:
-    """Transpose the mode-1 indices: [M^G]_(i,j),(k,l) = M_(k,j),(i,l)."""
+    """Transpose the mode-1 indices: [M^G]_(i,j),(k,l) = M_(k,j),(i,l),
+    on a 9x9 matrix or each matrix of a (..., 9, 9) stack."""
     m = np.asarray(m)
-    if m.shape != (9, 9):
+    if m.shape[-2:] != (9, 9):
         raise ValueError(f"expected a 9x9 matrix, got {m.shape}")
-    return m.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(9, 9)
+    lead = m.shape[:-2]
+    return m.reshape(lead + (3, 3, 3, 3)).swapaxes(-4, -2).reshape(m.shape)
 
 
 def ppt_min_eig(state: TwoModeState, settings: Settings) -> float:
     """Minimal eigenvalue of the partially transposed moment matrix;
-    a negative value certifies entanglement."""
+    a negative value certifies entanglement (an array for array Settings)."""
     return min_eigenvalue(partial_transpose(moments9(state, settings)))
 
 
@@ -199,8 +204,10 @@ def witness_from_eta(eta: np.ndarray, settings: Settings) -> WitnessDescriptor:
 
 
 def witness_expectation(state: TwoModeState, wd: WitnessDescriptor) -> float:
-    """<W> on the state; the imaginary residue must vanish."""
-    total = sum(c * word.expectation(state) for c, word in wd.terms)
+    """<W> on the state, one chi2 call; the imaginary residue must vanish."""
+    t = np.array([(c, w.phase, w.amp1, w.amp2) for c, w in wd.terms],
+                 dtype=complex).reshape(-1, 4)
+    total = complex(np.sum(t[:, 0] * (t[:, 1] * state.chi2(t[:, 2], t[:, 3]))))
     if abs(total.imag) > IMAG_TOL:
         raise ArithmeticError(
             f"witness expectation has imaginary residue {total.imag:g}")

@@ -52,13 +52,11 @@ def nc1_excess(state: SingleModeState, alpha: complex) -> float:
 
 def _bochner(state: SingleModeState, pts) -> np.ndarray:
     """M_ij = chi_N(p_i - p_j) over a (..., n) stack of checked complex
-    points, one chi_N call per upper-triangle entry."""
+    points, one chi_N call over all upper-triangle entries."""
     pts = np.asarray(pts, dtype=complex)
     n = pts.shape[-1]
     rows, cols, _ = _triu(n)
-    diffs = pts[..., rows] - pts[..., cols]
-    values = [state.chi_normal(d) for d in diffs.ravel().tolist()]
-    return _hermitian(np.array(values, dtype=complex).reshape(diffs.shape), n)
+    return _hermitian(state.chi_normal(pts[..., rows] - pts[..., cols]), n)
 
 
 def bochner_matrix(state: SingleModeState,
@@ -81,6 +79,8 @@ def min_eigenvalue(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     adjoint = m.conj().swapaxes(-1, -2)
     if np.max(np.abs(m - adjoint)) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -180,8 +180,7 @@ def region_scan(state: SingleModeState, grid: GridSpec, certificate: str,
         threshold = 0.0 if certificate == "nc1" else -0.01
     axis1, axis2 = grid.cells()
     if certificate == "nc1":
-        values = np.array([nc1_excess(state, complex(a1, a2))
-                           for a1, a2 in zip(axis1, axis2)])
+        values = nc1_excess(state, axis1 + 1j * axis2)
         detected = values > threshold
     else:
         repeated = np.count_nonzero((axis1 == axis2) | (axis1 == 0)

@@ -262,7 +262,12 @@ def _converge(evaluate, dim: int, tol: float) -> complex:
 
 def oracle_chi(state: SingleModeState, alpha: complex,
                tol: float = CONVERGENCE_TOL) -> complex:
-    """chi(alpha) by direct tr{D(alpha) rho}, doubling dim until converged."""
+    """chi(alpha) by direct tr{D(alpha) rho}, doubling dim until converged;
+    elementwise over an ndarray."""
+    if isinstance(alpha, np.ndarray):
+        return np.vectorize(lambda a: oracle_chi(state, a, tol),
+                            otypes=[complex])(alpha)
+
     def at_dim(dim):
         rho = state_to_matrix(state, dim)  # may leak: no D(alpha) built then
         return expval(displacement_matrix(alpha, dim), rho)
@@ -308,6 +313,10 @@ def _chi2_structured(state, d1, d2, dim) -> complex:
 
 def oracle_chi2(state: TwoModeState, alpha: complex, beta: complex,
                 tol: float = CONVERGENCE_TOL) -> complex:
-    """Two-mode chi by truncated matrix elements, doubling dim until converged."""
+    """Two-mode chi by truncated matrix elements, doubling dim until
+    converged; elementwise over ndarrays."""
+    if isinstance(alpha, np.ndarray) or isinstance(beta, np.ndarray):
+        return np.vectorize(lambda a, b: oracle_chi2(state, a, b, tol),
+                            otypes=[complex])(alpha, beta)
     return _converge(lambda dim: _chi2_at_dim(state, alpha, beta, dim),
                      initial_dim(state, alpha, beta), tol)

@@ -4,7 +4,8 @@ Single- and two-mode states are immutable descriptors that expose the
 symmetric-ordered characteristic function chi(alpha) = <D(alpha)> and its
 normally-ordered variant chi_N(alpha) = exp(|alpha|^2/2) chi(alpha).
 Density matrices never appear here; the brute-force Fock-space path lives
-in :mod:`catwitness.oracle`.
+in :mod:`catwitness.oracle`. chi, chi_normal and chi2 take complex scalars
+(scalar code) or ndarrays (an array of the broadcast shape, one per point).
 
 All states are kept in the frame rotating at the mechanical frequency, so
 free evolution is already factored out of every formula.
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
+import numpy as np
 from scipy.special import eval_laguerre
 
 NORM_TOL = 1e-10
@@ -25,10 +27,30 @@ DEGENERATE_NORM = 1e-14
 
 
 def _check_finite(z: complex, name: str = "amplitude") -> complex:
+    if isinstance(z, np.ndarray):
+        bad = ~np.isfinite(z)
+        if bad.any():
+            raise ValueError(f"{name} must be finite, got {complex(z[bad][0])}")
+        return z.astype(complex)
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{name} must be finite, got {z}")
     return z
+
+
+def _exp(x):
+    """math.exp, or np.exp on an array that raises OverflowError likewise."""
+    if not isinstance(x, np.ndarray):
+        return math.exp(x)
+    with np.errstate(over="ignore"):
+        out = np.exp(x)
+    if np.isinf(out).any():
+        raise OverflowError("math range error")
+    return out
+
+
+def _complex(x):
+    return x.astype(complex) if isinstance(x, np.ndarray) else complex(x)
 
 
 def coherent_overlap(xi: complex, xi_prime: complex) -> complex:
@@ -59,6 +81,8 @@ def _coherent_sum(terms, alphas) -> complex:
     All alphas = 0 gives the squared norm. Amplitudes and coefficients
     must already be finite (validated by the callers).
     """
+    if any(isinstance(a, np.ndarray) for a in alphas):
+        return _coherent_sum_array(terms, alphas)
     kets, bras = [], []
     for c, *xs in terms:
         ys = [x + a for x, a in zip(xs, alphas)]
@@ -74,6 +98,19 @@ def _coherent_sum(terms, alphas) -> complex:
     return total
 
 
+def _coherent_sum_array(terms, alphas) -> np.ndarray:
+    """_coherent_sum at each point of the broadcast alpha arrays, the P
+    points on a leading axis: one (P, K, K) exponent and one exp."""
+    a = np.stack(np.broadcast_arrays(*alphas), -1)[..., None, :]
+    t = np.array(terms, dtype=complex)
+    c, x = t[:, 0], t[:, 1:]
+    y = x + a  # (..., K, M)
+    e_k = -0.5 * (abs(y) ** 2).sum(-1) + 1j * (a * x.conj()).imag.sum(-1)
+    e_l = -0.5 * (abs(x) ** 2).sum(-1)
+    expo = y @ x.conj().T + e_k[..., None] + e_l
+    return c @ np.exp(expo) @ c.conj()
+
+
 class SingleModeState:
     """Base class for single-mode state descriptors."""
 
@@ -84,7 +121,7 @@ class SingleModeState:
     def chi_normal(self, alpha: complex) -> complex:
         """Normally-ordered characteristic function e^{|alpha|^2/2} chi(alpha)."""
         alpha = _check_finite(alpha)
-        return math.exp(abs(alpha) ** 2 / 2.0) * self.chi(alpha)
+        return _exp(abs(alpha) ** 2 / 2.0) * self.chi(alpha)
 
 
 class TwoModeState:
@@ -130,10 +167,10 @@ class FockState(SingleModeState):
     def chi(self, alpha: complex) -> complex:
         alpha = _check_finite(alpha)
         x = abs(alpha) ** 2
-        return complex(math.exp(-x / 2.0) * eval_laguerre(self.n, x))
+        return _complex(_exp(-x / 2.0) * eval_laguerre(self.n, x))
 
     def chi_normal(self, alpha: complex) -> complex:
-        return complex(eval_laguerre(self.n, abs(_check_finite(alpha)) ** 2))
+        return _complex(eval_laguerre(self.n, abs(_check_finite(alpha)) ** 2))
 
 
 @dataclass(frozen=True)
@@ -149,10 +186,10 @@ class ThermalState(SingleModeState):
 
     def chi(self, alpha: complex) -> complex:
         alpha = _check_finite(alpha)
-        return complex(math.exp(-(2 * self.n_th + 1) * abs(alpha) ** 2 / 2.0))
+        return _complex(_exp(-(2 * self.n_th + 1) * abs(alpha) ** 2 / 2.0))
 
     def chi_normal(self, alpha: complex) -> complex:
-        return complex(math.exp(-self.n_th * abs(_check_finite(alpha)) ** 2))
+        return _complex(_exp(-self.n_th * abs(_check_finite(alpha)) ** 2))
 
 
 @dataclass(frozen=True)
@@ -189,7 +226,8 @@ class Decohered(SingleModeState):
                     * chi(alpha e^{-gamma t / 2})
     evaluated on the wrapped state's chi, so one Gaussian factor carries
     both the bath and the symmetric ordering and stays finite where
-    chi_N's e^{|alpha|^2/2} would overflow.
+    chi_N's e^{|alpha|^2/2} would overflow; chi_N is the same map on the
+    wrapped chi_N, with n_th in place of n_th + 1/2.
     """
 
     inner: SingleModeState
@@ -202,11 +240,17 @@ class Decohered(SingleModeState):
         if not (math.isfinite(self.n_th) and self.n_th >= 0):
             raise ValueError(f"n_th must be >= 0, got {self.n_th}")
 
-    def chi(self, alpha: complex) -> complex:
+    def _damped(self, alpha, n, inner_fn):
         alpha = _check_finite(alpha)
         loss = -math.expm1(-self.gamma_t)
-        return (math.exp(-(self.n_th + 0.5) * loss * abs(alpha) ** 2)
-                * self.inner.chi(alpha * math.exp(-self.gamma_t / 2.0)))
+        return (_exp(-n * loss * abs(alpha) ** 2)
+                * inner_fn(alpha * math.exp(-self.gamma_t / 2.0)))
+
+    def chi(self, alpha: complex) -> complex:
+        return self._damped(alpha, self.n_th + 0.5, self.inner.chi)
+
+    def chi_normal(self, alpha: complex) -> complex:
+        return self._damped(alpha, self.n_th, self.inner.chi_normal)
 
 
 @dataclass(frozen=True)

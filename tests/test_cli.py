@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from catwitness import (cat_state, entangled_cat, nonclassicality, oracle,
-                        states)
+from catwitness import (cat_state, cli, entangled_cat, nonclassicality,
+                        oracle, states)
 from catwitness.cli import main, parse_grid, parse_state, UsageError
 
 
@@ -64,6 +68,47 @@ def test_overflow_exits_2(capsys):
     code, out, err = run(capsys, "chi", "--state", "cat:2,0", "--alpha", "40")
     assert (code, out) == (2, "")
     assert "overflow" in err
+
+
+def test_decay_of_fock_state_at_large_alpha(capsys):
+    # chi_N of |1> after loss is 1 - e^{-gamma t} |alpha|^2: finite where
+    # e^{|alpha|^2/2} chi would overflow
+    code, out, _ = run(capsys, "decay", "--state", "fock:1", "--alpha", "40",
+                       "--grid", "0:1:0.5")
+    assert code == 0
+    values = [float(line.split(",")[1]) for line in out.split()[1:]]
+    want = [1599.0, 1600 * math.exp(-0.5) - 1, 1600 * math.exp(-1.0) - 1]
+    assert values == pytest.approx(want, rel=1e-13)
+    assert values[1:] == pytest.approx([969.449, 587.607], abs=1e-3)
+
+
+# a failing call in the middle (argparse rejects the certificate), and the
+# first call repeated after it
+REUSE_CALLS = [
+    ("ptmin", "--grid", "0.5:1:0.5,1:1.5:0.5"),
+    ("chi", "--state", "cat:2,0", "--alpha", "1/0.5", "--alpha", "2"),
+    ("ncregion", "--state", "fock:1", "--grid", "0:1:0.5",
+     "--certificate", "nope"),
+    ("witness", "--grid", "0.5:1:0.25", "--product"),
+    ("ptmin", "--grid", "0.5:1:0.5,1:1.5:0.5"),
+]
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    """The parser is built once per process; main calls made one after
+    another in this process give the bytes a fresh interpreter gives."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    fresh = {argv: subprocess.Popen(
+        [sys.executable, "-m", "catwitness.cli", *argv], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for argv in dict.fromkeys(REUSE_CALLS)}
+    got = [run(capsys, *argv) for argv in REUSE_CALLS]
+    want = {}
+    for argv, proc in fresh.items():
+        out, err = proc.communicate(timeout=120)
+        want[argv] = (proc.returncode, out, err)
+    assert got == [want[argv] for argv in REUSE_CALLS]
+    assert [code for code, _, _ in got] == [0, 0, 2, 0, 0]
 
 
 def test_chi_csv_output(capsys):

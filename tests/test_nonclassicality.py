@@ -92,6 +92,16 @@ def test_min_eigenvalue_of_a_stack():
         min_eigenvalue(np.ones((2, 3, 4)))
 
 
+def test_min_eigenvalue_rejects_non_finite_entries():
+    # NaN compares false with the tolerance, so it must be caught on its own
+    with pytest.raises(ValueError, match="non-finite"):
+        min_eigenvalue(np.array([[np.nan, 5.0], [0.0, 1.0]]))
+    stack = np.tile(np.eye(3, dtype=complex), (4, 1, 1))
+    stack[2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        min_eigenvalue(stack)
+
+
 def test_nc2_classical_states_stay_psd():
     rng = np.random.default_rng(43)
     for state in (VACUUM, ThermalState(0.7), ThermalState(3.0)):

@@ -1,14 +1,16 @@
 """Property tests: random states, points and grids drawn by hypothesis.
 
-They guard the stacked moment-matrix paths (one chi_N call per upper
-entry, one determinant or eigensolve per scan) against per-matrix
-references built here, and the defining identities of chi.
+They guard the stacked moment-matrix paths (one chi_N call per scan, one
+determinant or eigensolve per scan) against per-matrix references built
+here, the array forms of chi, chi_N and chi2 against their scalar forms,
+and the defining identities of chi.
 """
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from catwitness import (
@@ -16,16 +18,21 @@ from catwitness import (
     FockState,
     GridSpec,
     Mixture,
+    PairSuperposition,
     ProductState,
     Settings,
     ThermalState,
+    TwoModeMixture,
     bochner_matrix,
     cat_state,
+    decohere,
+    entangled_cat,
     moments9,
     ppt_min_eig,
     region_scan,
     standard_settings,
 )
+from catwitness.cli import main
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -48,6 +55,32 @@ single_mode = st.one_of(fock, thermal, cat, mixtures(st.one_of(fock, thermal,
                                                                cat)))
 classical = st.one_of(thermal, coherent, mixtures(st.one_of(thermal,
                                                             coherent)))
+decohered = st.builds(decohere, st.one_of(fock, thermal, cat),
+                      st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+every_single_mode = st.one_of(single_mode, coherent, decohered)
+pairs = st.one_of(
+    st.builds(entangled_cat, st.floats(0.2, 1.5), st.sampled_from((1, -1))),
+    st.builds(lambda a, b: PairSuperposition(((1.0, a, b), (0.5j, -b, a))),
+              complexes, complexes),
+    st.builds(ProductState, every_single_mode, every_single_mode))
+two_mode = st.one_of(pairs, st.builds(
+    lambda w, a, b: TwoModeMixture(((w, a), (1.0 - w, b))),
+    weights, pairs, pairs))
+
+
+@st.composite
+def point_arrays(draw, count):
+    """count complex arrays of one drawn shape, (P,) or (P, Q)."""
+    shape = draw(st.sampled_from(((1,), (6,), (3, 4))))
+    size = math.prod(shape)
+    return [np.array(draw(st.lists(complexes, min_size=size, max_size=size)),
+                     dtype=complex).reshape(shape) for _ in range(count)]
+
+
+def assert_close(got, want):
+    want = np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 @st.composite
@@ -117,3 +150,60 @@ def test_chi_identities(state, alpha):
     assert abs(state.chi(0) - 1) <= 1e-12
     assert abs(state.chi(-alpha) - state.chi(alpha).conjugate()) <= 1e-12
     assert abs(state.chi(alpha)) <= 1 + 1e-12
+
+
+@SETTINGS
+@given(every_single_mode, point_arrays(1))
+def test_batched_chi_equals_scalar(state, points):
+    (alphas,) = points
+    for f in (state.chi, state.chi_normal):
+        want = [f(complex(a)) for a in alphas.ravel()]
+        assert_close(f(alphas), np.reshape(want, alphas.shape))
+
+
+@SETTINGS
+@given(two_mode, point_arrays(2))
+def test_batched_chi2_equals_scalar(state, points):
+    alphas, betas = points
+    want = [state.chi2(complex(a), complex(b))
+            for a, b in zip(alphas.ravel(), betas.ravel())]
+    assert_close(state.chi2(alphas, betas),
+                 np.reshape(want, alphas.shape))
+
+
+@SETTINGS
+@given(two_mode, st.floats(0.3, 2.0),
+       st.lists(st.floats(0.1, 2.5), min_size=1, max_size=6),
+       point_arrays(4))
+def test_stacked_ppt_min_eig_equals_per_cell_loop(state, xi0, eps, amps):
+    eps = np.array(eps)
+    assert_close(ppt_min_eig(state, standard_settings(xi0, eps)),
+                 [ppt_min_eig(state, standard_settings(xi0, float(e)))
+                  for e in eps])
+    want = [ppt_min_eig(state, Settings(*map(complex, cell)))
+            for cell in zip(*(a.ravel() for a in amps))]
+    assert_close(ppt_min_eig(state, Settings(*amps)),
+                 np.reshape(want, amps[0].shape))
+
+
+def test_array_overflow_raises_as_the_scalar_path_does(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            cat_state(2, 0).chi_normal(np.array([1.0, 40.0]))
+    code = main(["ncregion", "--state", "cat:2,0", "--certificate", "nc1",
+                 "--grid", "39:40:1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "overflow" in captured.err
+
+
+def test_non_finite_array_input_is_rejected():
+    for state in (cat_state(1, 0), FockState(1), ThermalState(0.5),
+                  decohere(FockState(1), 0.5, 0.1)):
+        for f in (state.chi, state.chi_normal):
+            with pytest.raises(ValueError,
+                               match=r"amplitude must be finite, got \(nan"):
+                f(np.array([0.5, complex(np.nan, 1)]))
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        entangled_cat(1.0).chi2(np.zeros(2), np.array([0.5, np.inf]))
