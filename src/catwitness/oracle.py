@@ -9,11 +9,11 @@ two routes can cross-check each other.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .states import (
     CoherentSuperposition,
@@ -58,6 +58,15 @@ class FockMatrix:
         object.__setattr__(self, "entries", entries)
 
 
+@functools.lru_cache(maxsize=64)
+def _log_factorials(dim: int) -> np.ndarray:
+    """log n! for n < dim from math.lgamma, cached per cutoff and read-only,
+    so every caller can share it."""
+    table = np.array([math.lgamma(n + 1) for n in range(dim)])
+    table.flags.writeable = False
+    return table
+
+
 def laguerre(n: int, k: int, x: float) -> float:
     """Associated Laguerre polynomial L_n^{(k)}(x) by the three-term recurrence."""
     if n < 0 or k < 0:
@@ -87,7 +96,8 @@ def displacement_matrix(alpha: complex, dim: int) -> FockMatrix:
         return FockMatrix(dim, np.eye(dim, dtype=complex))
     n = np.arange(dim)
     h = np.zeros((dim, dim))
-    h[0] = np.exp(n * math.log(abs(alpha)) - x / 2.0 - 0.5 * gammaln(n + 1))
+    h[0] = np.exp(n * math.log(abs(alpha)) - x / 2.0
+                  - 0.5 * _log_factorials(dim))
     root = np.zeros(dim)  # sqrt(m (m + k)) at m = 0: drops h[-1]
     for m in range(dim - 1):
         s = slice(0, dim - m - 1)  # row m + 1 is needed for k < dim - m - 1
@@ -115,7 +125,8 @@ def _coherent_vector(xi: complex, dim: int) -> np.ndarray:
         vec = np.zeros(dim, dtype=complex)
         vec[0] = 1.0
         return vec
-    log_mag = -abs(xi) ** 2 / 2.0 + n * math.log(abs(xi)) - 0.5 * gammaln(n + 1)
+    log_mag = (-abs(xi) ** 2 / 2.0 + n * math.log(abs(xi))
+               - 0.5 * _log_factorials(dim))
     return np.exp(log_mag) * (xi / abs(xi)) ** n
 
 
@@ -133,7 +144,7 @@ def apply_damping(rho: FockMatrix, gamma_t: float) -> FockMatrix:
     dim = rho.dim
     n = np.arange(dim)
     kc = n[:, None]
-    lg = gammaln(n + 1)
+    lg = _log_factorials(dim)
     log_sq = (lg - lg[kc] - lg[np.abs(n - kc)]
               + (n - kc) * math.log(eta) + kc * math.log1p(-eta))
     a = np.exp(0.5 * np.where(n >= kc, log_sq, -np.inf))

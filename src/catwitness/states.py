@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
-from scipy.special import eval_laguerre
 
 NORM_TOL = 1e-10
 WEIGHT_TOL = 1e-12
@@ -47,6 +46,30 @@ def _exp(x):
     if np.isinf(out).any():
         raise OverflowError("math range error")
     return out
+
+
+def _laguerre(n: int, x):
+    """Laguerre polynomial L_n(x) by the recurrence scipy's eval_laguerre
+    runs for integer n, in the same order, so both give the same floats.
+    x is a float (plain Python arithmetic) or an array (in-place ufuncs)."""
+    array = isinstance(x, np.ndarray)
+    if n == 0:
+        return np.ones_like(x) if array else 1.0
+    d = -x
+    p = d + 1.0
+    if not array:
+        for k in range(1, n):
+            d = -x / (k + 1) * p + (k / (k + 1)) * d
+            p = d + p
+        return p
+    t = np.empty_like(x)
+    for k in range(1, n):
+        np.divide(x, -(k + 1), out=t)  # -x / (k + 1), exactly
+        t *= p
+        d *= k / (k + 1)
+        d += t
+        p += d
+    return p
 
 
 def _complex(x):
@@ -167,10 +190,10 @@ class FockState(SingleModeState):
     def chi(self, alpha: complex) -> complex:
         alpha = _check_finite(alpha)
         x = abs(alpha) ** 2
-        return _complex(_exp(-x / 2.0) * eval_laguerre(self.n, x))
+        return _complex(_exp(-x / 2.0) * _laguerre(self.n, x))
 
     def chi_normal(self, alpha: complex) -> complex:
-        return _complex(eval_laguerre(self.n, abs(_check_finite(alpha)) ** 2))
+        return _complex(_laguerre(self.n, abs(_check_finite(alpha)) ** 2))
 
 
 @dataclass(frozen=True)
@@ -181,8 +204,7 @@ class ThermalState(SingleModeState):
     n_th: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.n_th) and self.n_th >= 0):
-            raise ValueError(f"n_th must be >= 0, got {self.n_th}")
+        _check_rate(self.n_th, "n_th")
 
     def chi(self, alpha: complex) -> complex:
         alpha = _check_finite(alpha)
@@ -235,22 +257,47 @@ class Decohered(SingleModeState):
     n_th: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma_t) and self.gamma_t >= 0):
-            raise ValueError(f"gamma_t must be >= 0, got {self.gamma_t}")
-        if not (math.isfinite(self.n_th) and self.n_th >= 0):
-            raise ValueError(f"n_th must be >= 0, got {self.n_th}")
-
-    def _damped(self, alpha, n, inner_fn):
-        alpha = _check_finite(alpha)
-        loss = -math.expm1(-self.gamma_t)
-        return (_exp(-n * loss * abs(alpha) ** 2)
-                * inner_fn(alpha * math.exp(-self.gamma_t / 2.0)))
+        _check_rate(self.gamma_t, "gamma_t")
+        _check_rate(self.n_th, "n_th")
 
     def chi(self, alpha: complex) -> complex:
-        return self._damped(alpha, self.n_th + 0.5, self.inner.chi)
+        return _damp(self.inner.chi, alpha, self.gamma_t, self.n_th + 0.5)
 
     def chi_normal(self, alpha: complex) -> complex:
-        return self._damped(alpha, self.n_th, self.inner.chi_normal)
+        return _damp(self.inner.chi_normal, alpha, self.gamma_t, self.n_th)
+
+
+def _check_rate(value, name: str):
+    """value must be finite and >= 0; an array is checked elementwise and
+    its first offending element is named."""
+    if isinstance(value, np.ndarray):
+        ok = (value >= 0) & (value < math.inf)  # NaN fails both
+        if ok.all():
+            return
+        value = float(value[~ok][0])
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def _damp(fn, alpha, gamma_t, n):
+    """Decohered's channel map on the characteristic function fn of the
+    initial state, with n = n_th + 1/2 for chi and n = n_th for chi_N;
+    gamma_t is a float or an array of times, all served by one fn call."""
+    alpha = _check_finite(alpha)
+    if isinstance(gamma_t, np.ndarray):
+        loss, shrink = -np.expm1(-gamma_t), np.exp(-gamma_t / 2.0)
+    else:
+        loss, shrink = -math.expm1(-gamma_t), math.exp(-gamma_t / 2.0)
+    return _exp(-n * loss * abs(alpha) ** 2) * fn(alpha * shrink)
+
+
+def damped_chi_normal(state: SingleModeState, alpha: complex, gamma_t,
+                      n_th: float):
+    """chi_N(alpha) of decohere(state, t, n_th) at each time t of gamma_t
+    (a float or an array), with one chi_N call of the state."""
+    _check_rate(gamma_t, "gamma_t")
+    _check_rate(n_th, "n_th")
+    return _damp(state.chi_normal, alpha, gamma_t, n_th)
 
 
 @dataclass(frozen=True)

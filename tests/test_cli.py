@@ -111,6 +111,29 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
     assert [code for code, _, _ in got] == [0, 0, 2, 0, 0]
 
 
+SCIPY_FREE = """
+import io, sys, contextlib
+import catwitness, catwitness.cli, catwitness.oracle
+runs = (["ncregion", "--state", "fock:1", "--certificate", "nc2-eig",
+         "--grid", "0.2:1:0.4,0.3:1.2:0.3"],
+        ["chi", "--state", "fock:2", "--alpha", "1", "--verify"],
+        ["decay", "--state", "cat:2,0", "--alpha", "1/0.5", "--nth", "0.3",
+         "--grid", "0:2:0.5"])
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert catwitness.cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_code_path_imports_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_chi_csv_output(capsys):
     code, out, _ = run(capsys, "chi", "--state", "cat:2,0", "--alpha", "2")
     assert code == 0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import genlaguerre
+from scipy.special import gammaln, genlaguerre
 
 from catwitness import (
     VACUUM,
@@ -40,6 +40,16 @@ def test_laguerre_against_scipy():
         x = float(rng.uniform(0.0, 10.0))
         assert laguerre(n, k, x) == pytest.approx(
             float(genlaguerre(n, k)(x)), rel=1e-10, abs=1e-10)
+
+
+def test_log_factorial_table():
+    table = oracle._log_factorials(4096)
+    want = gammaln(np.arange(4096) + 1.0)
+    assert table[:2].tolist() == [0.0, 0.0]
+    assert np.all(np.abs(table - want) <= 1e-15 * np.maximum(1.0, want))
+    assert oracle._log_factorials(4096) is table  # one table per cutoff
+    with pytest.raises(ValueError, match="read-only"):
+        table[3] = 0.0
 
 
 def test_displacement_matrix_small_entries():

@@ -3,7 +3,8 @@
 They guard the stacked moment-matrix paths (one chi_N call per scan, one
 determinant or eigensolve per scan) against per-matrix references built
 here, the array forms of chi, chi_N and chi2 against their scalar forms,
-and the defining identities of chi.
+the defining identities of chi, and the sign of the witness on separable
+states.
 """
 
 import math
@@ -31,6 +32,8 @@ from catwitness import (
     ppt_min_eig,
     region_scan,
     standard_settings,
+    witness_expectation,
+    witness_from_eta,
 )
 from catwitness.cli import main
 
@@ -142,6 +145,17 @@ def test_moments9_on_product_states(left, right, xi0, eps, amps):
         assert np.array_equal(m, m.conj().T)
         assert np.array_equal(np.diag(m), np.ones(9))
         assert ppt_min_eig(state, s) >= -1e-10
+
+
+@SETTINGS
+@given(every_single_mode, every_single_mode,
+       st.lists(complexes, min_size=9, max_size=9).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       st.lists(complexes, min_size=4, max_size=4))
+def test_witness_is_nonnegative_on_product_states(left, right, eta, amps):
+    eta = np.array(eta) / np.linalg.norm(eta)
+    wd = witness_from_eta(eta, Settings(*amps))
+    assert witness_expectation(ProductState(left, right), wd) >= -1e-10
 
 
 @SETTINGS

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_laguerre
 
 from catwitness import (
     VACUUM,
@@ -25,6 +26,7 @@ from catwitness import (
     state_from_json,
     state_to_json,
 )
+from catwitness.states import _laguerre, damped_chi_normal
 
 
 def test_coherent_overlap_basics():
@@ -90,6 +92,20 @@ def test_fock_chi_normal_is_laguerre():
     # chi of |1> vanishes exactly at |alpha| = 1
     assert chi(FockState(1), 1.0) == pytest.approx(0.0, abs=1e-15)
 
+
+
+def test_laguerre_equals_scipy_eval_laguerre():
+    # the same recurrence in the same order: equal floats, not just close
+    rng = np.random.default_rng(8)
+    x = np.concatenate([np.linspace(0.0, 2000.0, 2001),
+                        rng.uniform(0.0, 2000.0, 500),
+                        rng.uniform(0.0, 5.0, 500)])
+    for n in [*range(13), 50, 150, 200]:
+        got = _laguerre(n, x)
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, eval_laguerre(n, x))
+        for xi in x[::50].tolist():
+            assert _laguerre(n, xi) == eval_laguerre(n, xi)
 
 
 def test_chi_normal_stays_finite_where_chi_underflows():
@@ -165,6 +181,23 @@ def test_decohered_limits():
         0.00041900257328541287, abs=1e-12)
     # one Gaussian exponent: no e^{|alpha|^2/2} overflow at large amplitude
     assert abs(decohere(base, 0.1, 0.0).chi(40.0)) < 1e-300
+
+
+def test_damped_chi_normal_over_times_equals_per_time_states():
+    ts = np.linspace(0.0, 3.0, 31)
+    for state in (cat_state(2.0, 0.4), FockState(3), ThermalState(0.7),
+                  Mixture(((0.3, FockState(1)), (0.7, cat_state(1.0, 0.0)))),
+                  decohere(cat_state(1.2, 0.0), 0.3, 0.2)):
+        for n_th in (0.0, 0.8):
+            got = damped_chi_normal(state, 1.5 - 0.4j, ts, n_th)
+            want = [decohere(state, t, n_th).chi_normal(1.5 - 0.4j)
+                    for t in ts.tolist()]
+            assert got.shape == ts.shape
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
+    with pytest.raises(ValueError, match="gamma_t must be >= 0, got -0.5"):
+        damped_chi_normal(FockState(1), 1.0, np.array([0.0, -0.5, -1.0]), 0)
+    with pytest.raises(ValueError, match="n_th must be >= 0, got -1"):
+        damped_chi_normal(FockState(1), 1.0, ts, -1.0)
 
 
 def test_decohered_composes():
