@@ -81,53 +81,85 @@ def laguerre(n: int, k: int, x: float) -> float:
     return cur
 
 
-def displacement_matrix(alpha: complex, dim: int) -> FockMatrix:
+def displacement_matrix(alpha: complex | np.ndarray,
+                        dim: int) -> FockMatrix | np.ndarray:
     """Fock-basis matrix of D(alpha), <m|D|n> from associated Laguerre forms.
 
     The recurrence in n runs for all k at once on the normalised values
     h[n, k] = sqrt(n!/(n+k)!) |alpha|^k e^{-|alpha|^2/2} L_n^{(k)}(|alpha|^2),
     |h| <= 1 as elements of a unitary, so it stays finite at any cutoff.
+    A scalar alpha gives a FockMatrix; an ndarray of amplitudes gives a
+    (..., dim, dim) ndarray from one recurrence over the whole stack.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    alpha = complex(alpha)
-    x = abs(alpha) ** 2
-    if x == 0.0:
-        return FockMatrix(dim, np.eye(dim, dtype=complex))
+    if isinstance(alpha, np.ndarray):
+        return _displacement_stack(alpha.astype(complex), dim)
+    return FockMatrix(dim, _displacement_stack(np.array([complex(alpha)]), dim)[0])
+
+
+def _polar(z: np.ndarray):
+    """|z|, log|z| and z/|z| of a 1-d complex array as (K, 1) columns, by
+    Python's scalar abs, math.log and complex division, so that each entry
+    is rounded as a one-amplitude scalar computation is (np.abs, np.log and
+    ndarray complex division can differ in the last bit). A zero entry
+    stands in as |z| = 1 with phase 0; callers overwrite its result."""
+    z = z.tolist()
+    amp = [abs(a) or 1.0 for a in z]
+    return (np.array(amp)[:, None], np.array([math.log(r) for r in amp])[:, None],
+            np.array([a / r for a, r in zip(z, amp)])[:, None])
+
+
+def _displacement_stack(alpha: np.ndarray, dim: int) -> np.ndarray:
+    shape, alpha = alpha.shape, alpha.reshape(-1)
+    amp, log_amp, phase = _polar(alpha)
     n = np.arange(dim)
-    h = np.zeros((dim, dim))
-    h[0] = np.exp(n * math.log(abs(alpha)) - x / 2.0
-                  - 0.5 * _log_factorials(dim))
-    root = np.zeros(dim)  # sqrt(m (m + k)) at m = 0: drops h[-1]
-    for m in range(dim - 1):
-        s = slice(0, dim - m - 1)  # row m + 1 is needed for k < dim - m - 1
-        root_next = np.sqrt((m + 1) * (m + 1 + n[s]))
-        h[m + 1, s] = ((2 * m + 1 - x + n[s]) * h[m, s]
-                       - root[s] * h[m - 1, s]) / root_next
-        root = root_next
+    # h[n, b, k]: each step of the recurrence reads and writes whole
+    # contiguous (B, dim) rows; entries with n + k >= dim are never read
+    h = np.zeros((dim, alpha.size, dim))
+    x = amp ** 2
+    h[0] = np.exp(n * log_amp - x / 2.0 - 0.5 * _log_factorials(dim))
+    _laguerre_rows(h, x)
     rows, cols = np.tril_indices(dim)
     k = rows - cols
-    mag = h[cols, k]
-    phase = alpha / abs(alpha)
-    out = np.empty((dim, dim), dtype=complex)
-    out[rows, cols] = mag * (phase ** n)[k]
+    mag = h.transpose(1, 0, 2)[:, cols, k]
+    out = np.empty((alpha.size, dim, dim), dtype=complex)
+    out[:, rows, cols] = mag * (phase ** n)[:, k]
     # <n|D(alpha)|m> = conj(<m|D(-alpha)|n>): the same magnitude with the
     # phase of -alpha, conjugated
-    out[cols, rows] = mag * ((-phase.conjugate()) ** n)[k]
-    return FockMatrix(dim, out)
+    out[:, cols, rows] = mag * ((-phase.conjugate()) ** n)[:, k]
+    out[alpha == 0] = np.eye(dim)
+    return out.reshape(shape + (dim, dim))
 
 
-def _coherent_vector(xi: complex, dim: int) -> np.ndarray:
-    """Truncated Fock expansion of |xi>: e^{-|xi|^2/2} xi^n / sqrt(n!)."""
-    xi = complex(xi)
+def _laguerre_rows(h: np.ndarray, x: np.ndarray) -> None:
+    """Rows 1.. of h[n, b, k] from row 0, in place:
+    h[m+1] = ((2m+1-x+k) h[m] - root[m] h[m-1]) / root[m+1] with
+    root[m, k] = sqrt(m (m+k)), from two tables built once, so that a step
+    is four ufunc calls on preallocated rows."""
+    dim = h.shape[0]
     n = np.arange(dim)
-    if xi == 0:
-        vec = np.zeros(dim, dtype=complex)
-        vec[0] = 1.0
-        return vec
-    log_mag = (-abs(xi) ** 2 / 2.0 + n * math.log(abs(xi))
-               - 0.5 * _log_factorials(dim))
-    return np.exp(log_mag) * (xi / abs(xi)) ** n
+    coef = ((2 * n[:-1] + 1)[:, None, None] - x) + n  # (dim-1, B, dim)
+    root = list(np.sqrt(n[:, None] * (n[:, None] + n)))  # root[0] = 0 drops h[-1]
+    hn, t = list(h), np.empty_like(h[0])
+    for m, c in enumerate(coef):
+        nxt = hn[m + 1]
+        np.multiply(c, hn[m], out=t)
+        np.multiply(root[m], hn[m - 1], out=nxt)
+        np.subtract(t, nxt, out=nxt)
+        np.divide(nxt, root[m + 1], out=nxt)
+
+
+def _coherent_vectors(xi, dim: int) -> np.ndarray:
+    """Truncated Fock expansions e^{-|xi|^2/2} xi^n / sqrt(n!) of a sequence
+    of amplitudes, one row each: (K, dim) from one exp."""
+    xi = np.array(xi, dtype=complex)
+    amp, log_amp, phase = _polar(xi)
+    n = np.arange(dim)
+    log_mag = -amp ** 2 / 2.0 + n * log_amp - 0.5 * _log_factorials(dim)
+    vec = np.exp(log_mag) * phase ** n
+    vec[xi == 0] = n == 0
+    return vec
 
 
 def apply_damping(rho: FockMatrix, gamma_t: float) -> FockMatrix:
@@ -171,9 +203,8 @@ def state_to_matrix(state, dim: int) -> FockMatrix:
 
 def _state_to_matrix(state, dim: int) -> FockMatrix:
     if isinstance(state, CoherentSuperposition):
-        vec = np.zeros(dim, dtype=complex)
-        for c, xi in state.terms:
-            vec += c * _coherent_vector(xi, dim)
+        c, xi = zip(*state.terms)
+        vec = (np.array(c)[:, None] * _coherent_vectors(xi, dim)).sum(axis=0)
         return FockMatrix(dim, np.outer(vec, vec.conjugate()))
     if isinstance(state, FockState):
         if state.n >= dim:
@@ -199,9 +230,10 @@ def _state_to_matrix(state, dim: int) -> FockMatrix:
                              "decoherence (n_th > 0); use the closed form")
         return apply_damping(_state_to_matrix(state.inner, dim), state.gamma_t)
     if isinstance(state, PairSuperposition):
-        vec = np.zeros(dim * dim, dtype=complex)
-        for c, a, b in state.terms:
-            vec += c * np.kron(_coherent_vector(a, dim), _coherent_vector(b, dim))
+        # sum_k c_k u_k (x) z_k as the dim x dim matrix (c u)^T z, flattened
+        c, a, b = zip(*state.terms)
+        u, z = _coherent_vectors(a, dim), _coherent_vectors(b, dim)
+        vec = ((np.array(c)[:, None] * u).T @ z).reshape(-1)
         return FockMatrix(dim * dim, np.outer(vec, vec.conjugate()))
     if isinstance(state, ProductState):
         left = _state_to_matrix(state.left, dim).entries
@@ -244,6 +276,25 @@ def initial_dim(state, *amplitudes: complex) -> int:
     return math.ceil(4.0 * amp ** 2 + 20.0)
 
 
+def _leading_blocks(amplitudes: np.ndarray):
+    """dim -> the (..., dim, dim) stack D(amplitudes) for one convergence
+    run. <m|D|n> does not depend on the cutoff, so D at dim is the leading
+    block of any larger build. The first cutoff that gets this far is
+    always followed by its doubling (one value never converges), so the
+    first build is made at twice its cutoff when that stays within
+    MAX_DIM; later cutoffs are built at their own size."""
+    built = None
+
+    def at_dim(dim):
+        nonlocal built
+        if built is None or built.shape[-1] < dim:
+            size = 2 * dim if built is None and 2 * dim <= MAX_DIM else dim
+            built = displacement_matrix(amplitudes, size)
+        return built[..., :dim, :dim]
+
+    return at_dim
+
+
 def _converge(evaluate, dim: int, tol: float) -> complex:
     """evaluate(dim), doubling the per-mode cutoff until two successive
     values agree within tol; no cutoff above MAX_DIM is built."""
@@ -279,9 +330,11 @@ def oracle_chi(state: SingleModeState, alpha: complex,
         return np.vectorize(lambda a: oracle_chi(state, a, tol),
                             otypes=[complex])(alpha)
 
+    blocks = _leading_blocks(np.array(alpha, dtype=complex))
+
     def at_dim(dim):
         rho = state_to_matrix(state, dim)  # may leak: no D(alpha) built then
-        return expval(displacement_matrix(alpha, dim), rho)
+        return expval(FockMatrix(dim, blocks(dim)), rho)
 
     return _converge(at_dim, initial_dim(state, alpha), tol)
 
@@ -291,24 +344,15 @@ def oracle_chi_normal(state: SingleModeState, alpha: complex,
     return math.exp(abs(complex(alpha)) ** 2 / 2.0) * oracle_chi(state, alpha, tol)
 
 
-def _chi2_at_dim(state: TwoModeState, alpha: complex, beta: complex,
-                 dim: int) -> complex:
-    """tr{D(alpha) x D(beta) rho} at fixed per-mode cutoff.
-
-    Evaluated per pure/product component so the dim^2 x dim^2 Kronecker
-    matrix never has to be formed.
-    """
-    d1 = displacement_matrix(alpha, dim).entries
-    d2 = displacement_matrix(beta, dim).entries
-    return _chi2_structured(state, d1, d2, dim)
-
-
 def _chi2_structured(state, d1, d2, dim) -> complex:
+    """tr{D(alpha) x D(beta) rho} at fixed per-mode cutoff from d1 = D(alpha)
+    and d2 = D(beta), per pure/product component, so the dim^2 x dim^2
+    Kronecker matrix is never formed."""
     if isinstance(state, PairSuperposition):
         # sum_{k,l} c_k c_l* <u_l|d1|u_k> <z_l|d2|z_k> = c^dag (G1 o G2) c
-        c = np.array([c for c, _, _ in state.terms], dtype=complex)
-        u = np.array([_coherent_vector(a, dim) for _, a, _ in state.terms])
-        z = np.array([_coherent_vector(b, dim) for _, _, b in state.terms])
+        c, a, b = zip(*state.terms)
+        c = np.array(c, dtype=complex)
+        u, z = _coherent_vectors(a, dim), _coherent_vectors(b, dim)
         gram = (u.conj() @ d1 @ u.T) * (z.conj() @ d2 @ z.T)
         return complex(c.conj() @ gram @ c)
     if isinstance(state, ProductState):
@@ -329,5 +373,10 @@ def oracle_chi2(state: TwoModeState, alpha: complex, beta: complex,
     if isinstance(alpha, np.ndarray) or isinstance(beta, np.ndarray):
         return np.vectorize(lambda a, b: oracle_chi2(state, a, b, tol),
                             otypes=[complex])(alpha, beta)
-    return _converge(lambda dim: _chi2_at_dim(state, alpha, beta, dim),
-                     initial_dim(state, alpha, beta), tol)
+    blocks = _leading_blocks(np.array([alpha, beta], dtype=complex))
+
+    def at_dim(dim):
+        d1, d2 = blocks(dim)
+        return _chi2_structured(state, d1, d2, dim)
+
+    return _converge(at_dim, initial_dim(state, alpha, beta), tol)

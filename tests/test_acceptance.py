@@ -45,7 +45,10 @@ from catwitness.oracle import oracle_chi, oracle_chi2
 WITNESS_CROSSING_XI0 = 0.9509445799717184
 
 
-def report(num, desc, ok, detail=""):
+def report(num, desc, ok, metric, detail=""):
+    """One PASS/FAIL line per criterion; metric is the criterion's one
+    number (None when it could not be computed), recorded in
+    acceptance.json so it can be followed from change to change."""
     line = f"criterion {num:2d} [{'PASS' if ok else 'FAIL'}]: {desc}"
     if detail:
         line += f" -- {detail}"
@@ -53,7 +56,8 @@ def report(num, desc, ok, detail=""):
     conftest.acceptance_lines.append(line)
     conftest.acceptance_records.append(
         {"criterion": num, "result": "PASS" if ok else "FAIL",
-         "description": desc, "detail": detail})
+         "description": desc, "detail": detail,
+         "metric": None if metric is None else float(metric)})
     assert ok, line
 
 
@@ -79,14 +83,14 @@ def test_criterion_01_nc1_threshold_exactness():
                 hi = mid
         worst = max(worst, abs(0.5 * (lo + hi) - math.sqrt(2 / (1 - p))))
     report(1, "NC1 threshold at sqrt(2/(1-p)) within 1e-6", worst < 1e-6,
-           f"worst deviation {worst:.2e}")
+           worst, f"worst deviation {worst:.2e}")
 
 
 def test_criterion_02_nc1_two_photon_mixture():
     bad = [p for p in (0.1, 0.5, 0.9, 0.99)
            if not nc1_excess(two_photon_mixture(p), 2.05) > 0]
     report(2, "NC1 violated at |alpha| = 2.05 for the two-photon mixture",
-           not bad, f"failing p values: {bad}" if bad else "all p pass")
+           not bad, len(bad), f"failing p values: {bad}" if bad else "all p pass")
 
 
 def test_criterion_03_nc2_detects_with_smaller_displacements():
@@ -105,7 +109,7 @@ def test_criterion_03_nc2_detects_with_smaller_displacements():
         if hit:
             break
     report(3, "NC2 det <= -0.01 inside the NC1-blind disc", hit is not None,
-           f"found at {hit[:2]} with det = {hit[2]:.3f}" if hit else "no cell")
+           hit[2] if hit else None, f"found at {hit[:2]} with det = {hit[2]:.3f}" if hit else "no cell")
 
 
 def test_criterion_04_decoherence_persistence():
@@ -115,7 +119,7 @@ def test_criterion_04_decoherence_persistence():
     ok = all(v > 1 for v in values) and all(
         a > b for a, b in zip(values, values[1:]))
     report(4, "|chi_N| > 1 under pure loss, decreasing toward 1", ok,
-           f"values {['%.4f' % v for v in values]}")
+           min(values), f"values {['%.4f' % v for v in values]}")
 
 
 def test_criterion_05_fast_thermal_loss():
@@ -124,7 +128,7 @@ def test_criterion_05_fast_thermal_loss():
               for t in (0.1, 0.5, 1.0, 2.0)]
     ok = all(v < 1 for v in values)
     report(5, "|chi_N| < 1 for gamma_t >= 0.1 at N_th = 10", ok,
-           f"max value {max(values):.4f}")
+           max(values), f"max value {max(values):.4f}")
 
 
 class _OracleChi2:
@@ -175,7 +179,7 @@ def test_criterion_06_ppt_detection_region():
     oracle_dev = abs(closed - oracle)
     ok = not misses and worst_prod >= -1e-10 and oracle_dev < 1e-8
     report(6, "PPT min eig < -1e-4 on the (xi0, eps) grid where eps <= xi0",
-           ok,
+           ok, len(misses),
            f"{len(misses)} undetected cells in the regime {misses}; "
            f"product-state floor {worst_prod:.2e}; "
            f"outside the regime (not asserted) "
@@ -203,7 +207,7 @@ def test_criterion_07_witness_curve():
     ok = (at_03 >= 0 and all(v < 0 for v in negatives)
           and abs(crossing - WITNESS_CROSSING_XI0) < 1e-6)
     report(7, "witness positive at xi0 = 0.3, negative past the crossing", ok,
-           f"crossing at xi0 = {crossing:.6f}")
+           crossing, f"crossing at xi0 = {crossing:.6f}")
 
 
 def _random_single(rng):
@@ -244,7 +248,7 @@ def test_criterion_08_witness_soundness():
         wd = paper_witness(xi0, eps, w)
         worst = min(worst, witness_expectation(_random_separable(rng), wd))
     report(8, "witness >= -1e-8 on 500 random separable states",
-           worst >= -1e-8, f"minimum expectation {worst:.3e}")
+           worst >= -1e-8, worst, f"minimum expectation {worst:.3e}")
 
 
 def _random_ppt_qubit_pair(rng):
@@ -272,7 +276,7 @@ def test_criterion_09_no_go_channel():
         pt = out.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
         worst = min(worst, float(np.linalg.eigvalsh(pt)[0]))
     report(9, "qubit channel keeps PPT inputs PPT", worst >= -1e-10,
-           f"minimum output PT eigenvalue {worst:.3e}")
+           worst, f"minimum output PT eigenvalue {worst:.3e}")
 
 
 def _random_two_mode(rng):
@@ -337,7 +341,7 @@ def test_criterion_10_oracle_equivalence():
                   for c, word in wd.terms)
         worst = max(worst, abs(got - ref))
     report(10, "closed forms match the Fock oracle within 1e-8 (100 cases)",
-           worst < 1e-8, f"worst deviation {worst:.2e}")
+           worst < 1e-8, worst, f"worst deviation {worst:.2e}")
 
 
 def test_criterion_11_construction_identities():
@@ -373,4 +377,4 @@ def test_criterion_11_construction_identities():
         worst = max(worst, abs(witness_expectation(state, a)
                                - witness_expectation(state, b)))
     report(11, "reconstruction and witness identities within 1e-10",
-           worst < 1e-10, f"worst deviation {worst:.2e}")
+           worst < 1e-10, worst, f"worst deviation {worst:.2e}")

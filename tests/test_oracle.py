@@ -205,3 +205,116 @@ def test_truncation_error_stays_within_max_dim(monkeypatch):
     with pytest.raises(TruncationError, match="non-finite") as exc:
         oracle_chi(FockState(1), 0.5)
     assert exc.value.dim == 24
+
+
+def test_displacement_matrix_is_the_leading_block_of_a_larger_cutoff():
+    # <m|D|n> does not depend on the cutoff: the cutoff-d matrix is exactly
+    # the leading block of the cutoff-2d one
+    for a in (0.3 + 0.1j, -1.2 + 0.7j, 2.5j, -1.5 - 2.0j, 1e-3):
+        for d in (1, 5, 24, 45, 90):
+            big = displacement_matrix(a, 2 * d).entries
+            assert np.array_equal(big[:d, :d], displacement_matrix(a, d).entries)
+
+
+def test_stacked_displacement_matrix_equals_scalar_calls():
+    amps = np.array([[0.3 + 0.1j, 0.0, -1.2 + 0.7j],
+                     [2.5j, -1.5 - 2.0j, 1e-3]])
+    dim = 30
+    stack = displacement_matrix(amps, dim)
+    assert isinstance(stack, np.ndarray) and stack.shape == (2, 3, dim, dim)
+    for idx in np.ndindex(amps.shape):
+        assert np.array_equal(stack[idx],
+                              displacement_matrix(complex(amps[idx]), dim).entries)
+    assert np.array_equal(stack[0, 1], np.eye(dim))
+    assert np.array_equal(displacement_matrix(0j, dim).entries, np.eye(dim))
+    assert displacement_matrix(np.array(0.5j), dim).shape == (dim, dim)
+
+
+def _record_builds(monkeypatch):
+    """Wrap displacement_matrix to record (shape of alpha, dim) per build."""
+    builds = []
+    real = oracle.displacement_matrix
+
+    def recording(alpha, dim):
+        builds.append((np.shape(alpha), dim))
+        return real(alpha, dim)
+
+    monkeypatch.setattr(oracle, "displacement_matrix", recording)
+    return builds, real
+
+
+def test_convergence_run_builds_once_at_twice_the_first_cutoff(monkeypatch):
+    builds, real = _record_builds(monkeypatch)
+    visited = []
+    a, b = 0.4 + 0.2j, -0.3j
+
+    def expval_checked(op, rho):
+        visited.append(op.dim)
+        assert np.array_equal(op.entries, real(a, op.dim).entries)
+        return expval(op, rho)
+
+    monkeypatch.setattr(oracle, "expval", expval_checked)
+    state = cat_state(1.0, 0.0)
+    d = initial_dim(state, a)
+    assert oracle_chi(state, a) == pytest.approx(state.chi(a), abs=1e-9)
+    assert visited == [d, 2 * d] and builds == [((), 2 * d)]
+
+    builds.clear()
+    visited.clear()
+    chi2_structured = oracle._chi2_structured
+
+    def structured_checked(state, d1, d2, dim):
+        visited.append(dim)
+        assert np.array_equal(d1, real(a, dim).entries)
+        assert np.array_equal(d2, real(b, dim).entries)
+        return chi2_structured(state, d1, d2, dim)
+
+    monkeypatch.setattr(oracle, "_chi2_structured", structured_checked)
+    state = entangled_cat(1.0, +1)
+    d = initial_dim(state, a, b)
+    assert oracle_chi2(state, a, b) == pytest.approx(state.chi2(a, b), abs=1e-9)
+    assert visited == [d, 2 * d] and builds == [((2,), 2 * d)]
+
+
+def test_no_build_above_max_dim(monkeypatch):
+    builds, _ = _record_builds(monkeypatch)
+    monkeypatch.setattr(oracle, "MAX_DIM", 64)
+    # first cutoff 40: its doubling would pass MAX_DIM, so it is built alone
+    assert initial_dim(FockState(5), 0.5) == 40
+    with pytest.raises(TruncationError, match="MAX_DIM=64.*a single value"):
+        oracle_chi(FockState(5), 0.5)
+    assert builds == [((), 40)]
+    builds.clear()
+    with pytest.raises(TruncationError, match="MAX_DIM=64.*a single value"):
+        oracle_chi2(entangled_cat(0.5, +1), math.sqrt(5.0), 0.0)
+    assert builds == [((2,), 40)]
+    builds.clear()
+    # first cutoff 24: built at 48, the run stops before 96
+    with pytest.raises(TruncationError, match="MAX_DIM=64"):
+        oracle_chi(FockState(1), 0.5, tol=0.0)
+    assert builds == [((), 48)]
+
+
+def test_coherent_vectors_in_one_array():
+    xs = [0.3 + 0.1j, 0.0, -1.2 + 0.7j, 2.5j, -1.5 - 2.0j]
+    dim = 40
+    vecs = oracle._coherent_vectors(xs, dim)
+    assert vecs.shape == (len(xs), dim)
+    for xi, vec in zip(xs, vecs):
+        assert np.array_equal(vec, oracle._coherent_vectors([xi], dim)[0])
+        ref = np.array([math.exp(-abs(xi) ** 2 / 2.0) * xi ** n
+                        / math.sqrt(math.factorial(n)) for n in range(dim)])
+        assert np.max(np.abs(vec - ref)) <= 1e-15
+    assert np.array_equal(vecs[1], np.eye(1, dim)[0])
+
+
+def test_pair_state_matrix_equals_kron_sum():
+    state = prepare_conditional(cat_state(0.8, 0.0), 0.7, 0.35,
+                                RamseySetting(0.4, 1.1), (1, -1))[0]
+    dim = 20
+    vec = sum(c * np.kron(oracle._coherent_vectors([a], dim)[0],
+                          oracle._coherent_vectors([b], dim)[0])
+              for c, a, b in state.terms)
+    rho = state_to_matrix(state, dim).entries
+    assert rho.shape == (dim * dim, dim * dim)
+    assert np.max(np.abs(rho - np.outer(vec, vec.conj()))) <= 1e-15
