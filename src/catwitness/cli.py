@@ -142,6 +142,16 @@ def _alpha_list(args):
     raise UsageError("chi needs --alpha or --grid")
 
 
+def _one_alpha(args, default=None):
+    """The one --alpha that decay and ramsey take, else default."""
+    if not args.alpha:
+        return default
+    if len(args.alpha) > 1:
+        raise UsageError(f"{args.command} takes one --alpha, "
+                         f"got {len(args.alpha)}")
+    return _alpha_list(args)[0]
+
+
 def cmd_chi(args) -> int:
     state = _single_mode(args)
     alphas = _alpha_list(args)
@@ -175,9 +185,9 @@ def cmd_ncregion(args) -> int:
 
 def cmd_decay(args) -> int:
     state = _single_mode(args)
-    if not args.alpha:
+    alpha = _one_alpha(args)
+    if alpha is None:
         raise UsageError("decay needs --alpha")
-    alpha = _alpha_list(args)[0]
     ts, _ = _grid(args, "gamma_t").cells()
     values = abs(states.damped_chi_normal(state, alpha, ts, args.nth))
     if (values[1:] > values[:-1] + 1e-12).any():
@@ -210,7 +220,7 @@ def cmd_witness(args) -> int:
 
 def cmd_ramsey(args) -> int:
     state = _single_mode(args)
-    alpha = _alpha_list(args)[0] if args.alpha else 0j
+    alpha = _one_alpha(args, 0j)
     setting = ramsey.RamseySetting(args.phi, alpha)
     p_plus, p_minus = ramsey.outcome_probabilities(state, setting)
     result = {

@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,21 +42,6 @@ class TruncationError(ValueError):
         super().__init__(reason or f"dim={dim} leaks {leakage:.3e} of the trace")
 
 
-@dataclass(frozen=True)
-class FockMatrix:
-    """A dim x dim complex matrix in the (tensor-product) Fock basis."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.dim, self.dim):
-            raise ValueError(f"expected shape ({self.dim}, {self.dim}), "
-                             f"got {entries.shape}")
-        object.__setattr__(self, "entries", entries)
-
-
 @functools.lru_cache(maxsize=64)
 def _log_factorials(dim: int) -> np.ndarray:
     """log n! for n < dim from math.lgamma, cached per cutoff and read-only,
@@ -81,21 +65,18 @@ def laguerre(n: int, k: int, x: float) -> float:
     return cur
 
 
-def displacement_matrix(alpha: complex | np.ndarray,
-                        dim: int) -> FockMatrix | np.ndarray:
+def displacement_matrix(alpha: complex | np.ndarray, dim: int) -> np.ndarray:
     """Fock-basis matrix of D(alpha), <m|D|n> from associated Laguerre forms.
 
     The recurrence in n runs for all k at once on the normalised values
     h[n, k] = sqrt(n!/(n+k)!) |alpha|^k e^{-|alpha|^2/2} L_n^{(k)}(|alpha|^2),
     |h| <= 1 as elements of a unitary, so it stays finite at any cutoff.
-    A scalar alpha gives a FockMatrix; an ndarray of amplitudes gives a
-    (..., dim, dim) ndarray from one recurrence over the whole stack.
+    Amplitudes of shape (...) give a (..., dim, dim) stack from one
+    recurrence over the whole stack; a scalar gives one (dim, dim) matrix.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if isinstance(alpha, np.ndarray):
-        return _displacement_stack(alpha.astype(complex), dim)
-    return FockMatrix(dim, _displacement_stack(np.array([complex(alpha)]), dim)[0])
+    return _displacement_stack(np.asarray(alpha, dtype=complex), dim)
 
 
 def _polar(z: np.ndarray):
@@ -162,7 +143,7 @@ def _coherent_vectors(xi, dim: int) -> np.ndarray:
     return vec
 
 
-def apply_damping(rho: FockMatrix, gamma_t: float) -> FockMatrix:
+def apply_damping(rho: np.ndarray, gamma_t: float) -> np.ndarray:
     """Amplitude-damping Kraus sum on a truncated density matrix.
 
     The Kraus operator A_k has one shifted diagonal, <n-k|A_k|n> = a[k, n]
@@ -173,80 +154,67 @@ def apply_damping(rho: FockMatrix, gamma_t: float) -> FockMatrix:
     eta = math.exp(-gamma_t)
     if eta == 1.0:
         return rho
-    dim = rho.dim
+    dim = rho.shape[0]
     n = np.arange(dim)
     kc = n[:, None]
     lg = _log_factorials(dim)
     log_sq = (lg - lg[kc] - lg[np.abs(n - kc)]
               + (n - kc) * math.log(eta) + kc * math.log1p(-eta))
     a = np.exp(0.5 * np.where(n >= kc, log_sq, -np.inf))
-    out = np.zeros_like(rho.entries)
+    out = np.zeros_like(rho)
     for k in range(dim):
-        out[:dim - k, :dim - k] += np.outer(a[k, k:], a[k, k:]) * rho.entries[k:, k:]
-    return FockMatrix(dim, out)
+        out[:dim - k, :dim - k] += np.outer(a[k, k:], a[k, k:]) * rho[k:, k:]
+    return out
 
 
-def state_to_matrix(state, dim: int) -> FockMatrix:
-    """Density matrix of a state descriptor in the truncated Fock basis.
+def state_to_matrix(state: SingleModeState, dim: int) -> np.ndarray:
+    """Density matrix of a single-mode state in the truncated Fock basis.
 
     Raises :class:`TruncationError` when the cutoff loses more than 1e-6 of
     the trace. Thermal decoherence (Decohered with n_th > 0) has no
     independent matrix realization here; only the pure-loss channel is
-    applied as a Kraus sum.
+    applied as a Kraus sum. Two-mode states have no dense matrix:
+    :func:`oracle_chi2` evaluates them per mode.
     """
     rho = _state_to_matrix(state, dim)
-    leakage = abs(1.0 - np.trace(rho.entries).real)
+    leakage = abs(1.0 - np.trace(rho).real)
     if leakage > TRACE_TOL:
         raise TruncationError(dim, leakage)
     return rho
 
 
-def _state_to_matrix(state, dim: int) -> FockMatrix:
+def _state_to_matrix(state, dim: int) -> np.ndarray:
     if isinstance(state, CoherentSuperposition):
         c, xi = zip(*state.terms)
         vec = (np.array(c)[:, None] * _coherent_vectors(xi, dim)).sum(axis=0)
-        return FockMatrix(dim, np.outer(vec, vec.conjugate()))
+        return np.outer(vec, vec.conjugate())
     if isinstance(state, FockState):
         if state.n >= dim:
             raise TruncationError(dim, 1.0)
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[state.n, state.n] = 1.0
-        return FockMatrix(dim, rho)
+        return np.diag(np.arange(dim) == state.n).astype(complex)
     if isinstance(state, ThermalState):
         if state.n_th == 0.0:
             return _state_to_matrix(FockState(0), dim)
         n = np.arange(dim)
         p = state.n_th ** n / (1.0 + state.n_th) ** (n + 1)
-        return FockMatrix(dim, np.diag(p).astype(complex))
-    if isinstance(state, (Mixture, TwoModeMixture)):
-        total = None
-        for w, s in state.components:
-            part = _state_to_matrix(s, dim).entries
-            total = w * part if total is None else total + w * part
-        return FockMatrix(total.shape[0], total)
+        return np.diag(p).astype(complex)
+    if isinstance(state, Mixture):
+        return functools.reduce(np.add, (w * _state_to_matrix(s, dim)
+                                         for w, s in state.components))
     if isinstance(state, Decohered):
         if state.n_th > 0:
             raise ValueError("no independent Fock-space path for thermal "
                              "decoherence (n_th > 0); use the closed form")
         return apply_damping(_state_to_matrix(state.inner, dim), state.gamma_t)
-    if isinstance(state, PairSuperposition):
-        # sum_k c_k u_k (x) z_k as the dim x dim matrix (c u)^T z, flattened
-        c, a, b = zip(*state.terms)
-        u, z = _coherent_vectors(a, dim), _coherent_vectors(b, dim)
-        vec = ((np.array(c)[:, None] * u).T @ z).reshape(-1)
-        return FockMatrix(dim * dim, np.outer(vec, vec.conjugate()))
-    if isinstance(state, ProductState):
-        left = _state_to_matrix(state.left, dim).entries
-        right = _state_to_matrix(state.right, dim).entries
-        return FockMatrix(dim * dim, np.kron(left, right))
-    raise TypeError(f"cannot realize {type(state).__name__} as a matrix")
+    raise TypeError(f"cannot realize {type(state).__name__} as a single-mode "
+                    "matrix; two-mode states go through oracle_chi2")
 
 
-def expval(operator: FockMatrix, rho: FockMatrix) -> complex:
-    """tr{A rho}."""
-    if operator.dim != rho.dim:
-        raise ValueError(f"dim mismatch: {operator.dim} vs {rho.dim}")
-    return complex(np.einsum("ij,ji->", operator.entries, rho.entries))
+def expval(operator: np.ndarray, rho: np.ndarray) -> complex:
+    """tr{A rho} of two square matrices of one shape."""
+    if operator.shape != rho.shape:
+        raise ValueError(f"shape mismatch: {operator.shape} vs {rho.shape}")
+    return complex(np.einsum("ij,ji->", operator, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +302,7 @@ def oracle_chi(state: SingleModeState, alpha: complex,
 
     def at_dim(dim):
         rho = state_to_matrix(state, dim)  # may leak: no D(alpha) built then
-        return expval(FockMatrix(dim, blocks(dim)), rho)
+        return expval(blocks(dim), rho)
 
     return _converge(at_dim, initial_dim(state, alpha), tol)
 
@@ -356,10 +324,8 @@ def _chi2_structured(state, d1, d2, dim) -> complex:
         gram = (u.conj() @ d1 @ u.T) * (z.conj() @ d2 @ z.T)
         return complex(c.conj() @ gram @ c)
     if isinstance(state, ProductState):
-        left = _state_to_matrix(state.left, dim).entries
-        right = _state_to_matrix(state.right, dim).entries
-        return (np.einsum("ij,ji->", d1, left)
-                * np.einsum("ij,ji->", d2, right))
+        return (expval(d1, _state_to_matrix(state.left, dim))
+                * expval(d2, _state_to_matrix(state.right, dim)))
     if isinstance(state, TwoModeMixture):
         return sum(w * _chi2_structured(s, d1, d2, dim)
                    for w, s in state.components)

@@ -450,7 +450,10 @@ def state_from_json(data: dict):
         return CoherentSuperposition(tuple(
             (_j2c(t["coeff"]), _j2c(t["amplitude"])) for t in data["terms"]))
     if kind == "fock":
-        return FockState(int(data["n"]))
+        n = data["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"fock 'n' must be a JSON integer, got {n!r}")
+        return FockState(n)
     if kind == "thermal":
         return ThermalState(float(data["n_th"]))
     if kind == "cat":

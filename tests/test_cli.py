@@ -183,11 +183,16 @@ def test_chi_grid(capsys):
     ("witness", "--grid", "1:1:1", "--format", "json"),
     ("witness", "--grid", "0.5:0.6:0.1,7:9:1"),
     ("decay", "--state", "cat:2,0", "--alpha", "2", "--grid", "0:1:0.5,7:9:1"),
+    ("decay", "--state", "cat:2,0", "--alpha", "2", "--alpha", "5",
+     "--grid", "0:0.2:0.1"),
+    ("ramsey", "--state", "cat:2,0", "--alpha", "1", "--alpha", "2"),
 ])
 def test_options_without_effect_are_rejected(capsys, argv):
-    code, out, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
+    if argv.count("--alpha") > 1:
+        assert f"{argv[0]} takes one --alpha, got 2" in err
 
 
 def test_chi_usage_errors(capsys):
@@ -200,6 +205,11 @@ def test_chi_usage_errors(capsys):
                          "--grid", "0:inf:0.1")
     assert (code, out) == (2, "")
     assert "bad axis" in err
+    for n in ("1.7", '"2"', "true"):
+        code, out, err = run(capsys, "chi", "--state",
+                             f'{{"kind":"fock","n":{n}}}', "--alpha", "1")
+        assert (code, out) == (2, "")
+        assert "fock 'n' must be a JSON integer" in err
 
 
 def test_ncregion_csv(capsys):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from catwitness import (
     decohere,
     entangled_cat,
     oracle,
+    states,
 )
 from catwitness.oracle import (
     TruncationError,
@@ -56,7 +59,7 @@ def test_displacement_matrix_small_entries():
     # <m|D(alpha)|n> closed forms for the 2x2 corner
     a = 0.7 - 0.4j
     x = abs(a) ** 2
-    d = displacement_matrix(a, 6).entries
+    d = displacement_matrix(a, 6)
     g = math.exp(-x / 2.0)
     assert d[0, 0] == pytest.approx(g, abs=1e-12)
     assert d[1, 0] == pytest.approx(g * a, abs=1e-12)
@@ -72,7 +75,7 @@ def test_displacement_matrix_matches_scalar_laguerre():
     dim = 60
     for a in (0.3 + 0.1j, -1.2 + 0.7j, 2.5j, -1.5 - 2.0j):
         x = abs(a) ** 2
-        d = displacement_matrix(a, dim).entries
+        d = displacement_matrix(a, dim)
         worst = 0.0
         for m in range(dim):
             for n in range(m + 1):
@@ -85,7 +88,7 @@ def test_displacement_matrix_matches_scalar_laguerre():
 
 def test_displacement_matrix_unitary_block():
     # the top block is unitary up to truncation leakage
-    d = displacement_matrix(1.0 + 0.5j, 40).entries
+    d = displacement_matrix(1.0 + 0.5j, 40)
     block = (d.conj().T @ d)[:12, :12]
     assert np.max(np.abs(block - np.eye(12))) < 1e-9
 
@@ -94,9 +97,9 @@ def test_displacement_composition_phase():
     # D(a) D(b) = e^{i Im(a b*)} D(a+b)
     a, b = 0.6 + 0.2j, -0.3 + 0.5j
     dim = 36
-    left = displacement_matrix(a, dim).entries @ displacement_matrix(b, dim).entries
+    left = displacement_matrix(a, dim) @ displacement_matrix(b, dim)
     phase = np.exp(1j * (a * b.conjugate()).imag)
-    right = phase * displacement_matrix(a + b, dim).entries
+    right = phase * displacement_matrix(a + b, dim)
     assert np.max(np.abs(left - right)[:10, :10]) < 1e-9
 
 
@@ -104,10 +107,10 @@ def test_state_to_matrix_trace_and_purity():
     dim = 40
     for state in [cat_state(1.5, 0.0), FockState(3), ThermalState(1.0),
                   Mixture(((0.5, VACUUM), (0.5, FockState(2))))]:
-        rho = state_to_matrix(state, dim).entries
+        rho = state_to_matrix(state, dim)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
-    pure = state_to_matrix(cat_state(1.5, 0.0), dim).entries
+    pure = state_to_matrix(cat_state(1.5, 0.0), dim)
     assert np.trace(pure @ pure).real == pytest.approx(1.0, abs=1e-8)
 
 
@@ -212,8 +215,8 @@ def test_displacement_matrix_is_the_leading_block_of_a_larger_cutoff():
     # the leading block of the cutoff-2d one
     for a in (0.3 + 0.1j, -1.2 + 0.7j, 2.5j, -1.5 - 2.0j, 1e-3):
         for d in (1, 5, 24, 45, 90):
-            big = displacement_matrix(a, 2 * d).entries
-            assert np.array_equal(big[:d, :d], displacement_matrix(a, d).entries)
+            big = displacement_matrix(a, 2 * d)
+            assert np.array_equal(big[:d, :d], displacement_matrix(a, d))
 
 
 def test_stacked_displacement_matrix_equals_scalar_calls():
@@ -224,9 +227,10 @@ def test_stacked_displacement_matrix_equals_scalar_calls():
     assert isinstance(stack, np.ndarray) and stack.shape == (2, 3, dim, dim)
     for idx in np.ndindex(amps.shape):
         assert np.array_equal(stack[idx],
-                              displacement_matrix(complex(amps[idx]), dim).entries)
+                              displacement_matrix(complex(amps[idx]), dim))
     assert np.array_equal(stack[0, 1], np.eye(dim))
-    assert np.array_equal(displacement_matrix(0j, dim).entries, np.eye(dim))
+    assert np.array_equal(displacement_matrix(0j, dim), np.eye(dim))
+    assert type(displacement_matrix(0.5j, dim)) is np.ndarray
     assert displacement_matrix(np.array(0.5j), dim).shape == (dim, dim)
 
 
@@ -249,8 +253,8 @@ def test_convergence_run_builds_once_at_twice_the_first_cutoff(monkeypatch):
     a, b = 0.4 + 0.2j, -0.3j
 
     def expval_checked(op, rho):
-        visited.append(op.dim)
-        assert np.array_equal(op.entries, real(a, op.dim).entries)
+        visited.append(op.shape[0])
+        assert np.array_equal(op, real(a, op.shape[0]))
         return expval(op, rho)
 
     monkeypatch.setattr(oracle, "expval", expval_checked)
@@ -265,8 +269,8 @@ def test_convergence_run_builds_once_at_twice_the_first_cutoff(monkeypatch):
 
     def structured_checked(state, d1, d2, dim):
         visited.append(dim)
-        assert np.array_equal(d1, real(a, dim).entries)
-        assert np.array_equal(d2, real(b, dim).entries)
+        assert np.array_equal(d1, real(a, dim))
+        assert np.array_equal(d2, real(b, dim))
         return chi2_structured(state, d1, d2, dim)
 
     monkeypatch.setattr(oracle, "_chi2_structured", structured_checked)
@@ -308,13 +312,45 @@ def test_coherent_vectors_in_one_array():
     assert np.array_equal(vecs[1], np.eye(1, dim)[0])
 
 
-def test_pair_state_matrix_equals_kron_sum():
-    state = prepare_conditional(cat_state(0.8, 0.0), 0.7, 0.35,
-                                RamseySetting(0.4, 1.1), (1, -1))[0]
-    dim = 20
-    vec = sum(c * np.kron(oracle._coherent_vectors([a], dim)[0],
-                          oracle._coherent_vectors([b], dim)[0])
-              for c, a, b in state.terms)
-    rho = state_to_matrix(state, dim).entries
-    assert rho.shape == (dim * dim, dim * dim)
-    assert np.max(np.abs(rho - np.outer(vec, vec.conj()))) <= 1e-15
+
+def test_expval_rejects_mismatched_shapes():
+    rho = state_to_matrix(FockState(1), 8)
+    with pytest.raises(ValueError,
+                       match=r"shape mismatch: \(9, 9\) vs \(8, 8\)"):
+        expval(displacement_matrix(0.3, 9), rho)
+
+
+@pytest.mark.parametrize("state", [
+    entangled_cat(1.0, +1),
+    ProductState(VACUUM, FockState(1)),
+    TwoModeMixture(((0.5, entangled_cat(1.0, -1)),
+                    (0.5, ProductState(VACUUM, VACUUM)))),
+])
+def test_state_to_matrix_is_single_mode_only(state):
+    with pytest.raises(TypeError,
+                       match="two-mode states go through oracle_chi2"):
+        state_to_matrix(state, 20)
+
+
+def test_oracle_takes_only_classes_from_the_closed_forms():
+    # the oracle may test a state's type but never evaluate a closed form:
+    # whatever it imports from catwitness.states is a class, the module
+    # itself is not imported, and no chi method is called
+    taken = []
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            assert "states" not in names
+            if "." * node.level + (node.module or "") in (".states",
+                                                          "catwitness.states"):
+                taken += names
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.endswith("states") for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in ("chi", "chi_normal", "chi2")
+    assert "CoherentSuperposition" in taken
+    for name in taken:
+        assert inspect.isclass(getattr(states, name)), name
+    assert not [name for name, value in vars(oracle).items()
+                if inspect.isfunction(value)
+                and value.__module__ == states.__name__]

@@ -3,10 +3,11 @@
 They guard the stacked moment-matrix paths (one chi_N call per scan, one
 determinant or eigensolve per scan) against per-matrix references built
 here, the array forms of chi, chi_N and chi2 against their scalar forms,
-the defining identities of chi, and the sign of the witness on separable
-states.
+the defining identities of chi, the sign of the witness on separable
+states, and the JSON round trip of every state family.
 """
 
+import json
 import math
 import warnings
 
@@ -24,6 +25,7 @@ from catwitness import (
     Settings,
     ThermalState,
     TwoModeMixture,
+    TwoModeState,
     bochner_matrix,
     cat_state,
     decohere,
@@ -32,6 +34,8 @@ from catwitness import (
     ppt_min_eig,
     region_scan,
     standard_settings,
+    state_from_json,
+    state_to_json,
     witness_expectation,
     witness_from_eta,
 )
@@ -198,6 +202,18 @@ def test_stacked_ppt_min_eig_equals_per_cell_loop(state, xi0, eps, amps):
             for cell in zip(*(a.ravel() for a in amps))]
     assert_close(ppt_min_eig(state, Settings(*amps)),
                  np.reshape(want, amps[0].shape))
+
+
+@SETTINGS
+@given(st.one_of(every_single_mode, two_mode), complexes, complexes)
+def test_json_round_trip_keeps_type_and_chi(state, alpha, beta):
+    back = state_from_json(json.loads(json.dumps(state_to_json(state))))
+    assert type(back) is type(state)
+    if isinstance(state, TwoModeState):
+        got, want = back.chi2(alpha, beta), state.chi2(alpha, beta)
+    else:
+        got, want = back.chi(alpha), state.chi(alpha)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_array_overflow_raises_as_the_scalar_path_does(capsys):

@@ -265,6 +265,13 @@ def test_json_cat_shorthand():
     assert parsed == cat_state(2.0, 0.0)
 
 
+def test_json_fock_takes_only_an_integer():
+    assert state_from_json({"kind": "fock", "n": 2}) == FockState(2)
+    for n in (1.7, 2.0, "2", True):
+        with pytest.raises(ValueError, match="fock 'n' must be a JSON integer"):
+            state_from_json({"kind": "fock", "n": n})
+
+
 def test_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         state_from_json({"kind": "squeezed"})
