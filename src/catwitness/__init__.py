@@ -51,7 +51,6 @@ from .ramsey import (
     two_qubit_correlation,
 )
 from .entanglement import (
-    DisplacementWord,
     Settings,
     WitnessDescriptor,
     canonical_eta,
@@ -62,7 +61,6 @@ from .entanglement import (
     standard_settings,
     witness_expectation,
     witness_from_eta,
-    word_product,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,45 +20,17 @@ import numpy as np
 from .nonclassicality import _hermitian, _triu, min_eigenvalue
 from .states import TwoModeState, _check_finite
 
-PHASE_TOL = 1e-12
 IMAG_TOL = 1e-10
 COEFF_PRUNE = 1e-14
 
 
-@dataclass(frozen=True)
-class DisplacementWord:
-    """phase * D(amp1) x D(amp2), with |phase| = 1."""
+class Word(NamedTuple):
+    """phase * D(amp1) x D(amp2); plain data, validated where a witness
+    is built."""
 
     phase: complex
     amp1: complex
     amp2: complex
-
-    def __post_init__(self):
-        phase = _check_finite(self.phase, "phase")
-        if abs(abs(phase) - 1.0) > PHASE_TOL:
-            raise ValueError(f"|phase| must be 1, got {abs(phase)!r}")
-        object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "amp1", _check_finite(self.amp1))
-        object.__setattr__(self, "amp2", _check_finite(self.amp2))
-
-    def dagger(self) -> "DisplacementWord":
-        return DisplacementWord(self.phase.conjugate(), -self.amp1, -self.amp2)
-
-    def expectation(self, state: TwoModeState) -> complex:
-        return self.phase * state.chi2(self.amp1, self.amp2)
-
-
-IDENTITY_WORD = DisplacementWord(1.0, 0.0, 0.0)
-
-
-def word_product(a: DisplacementWord, b: DisplacementWord) -> DisplacementWord:
-    """Operator product a.b via D(x)D(y) = e^{i Im(x y*)} D(x + y) per mode."""
-    phase = a.phase * b.phase * cmath.exp(
-        1j * ((a.amp1 * b.amp1.conjugate()).imag
-              + (a.amp2 * b.amp2.conjugate()).imag))
-    # renormalize the modulus; rounding drift otherwise accumulates
-    phase /= abs(phase)
-    return DisplacementWord(phase, a.amp1 + b.amp1, a.amp2 + b.amp2)
 
 
 class Settings(NamedTuple):
@@ -159,7 +131,7 @@ class WitnessDescriptor:
     """Finite sum of coefficient-weighted displacement words whose
     expectation is real on every two-mode state."""
 
-    terms: tuple[tuple[complex, DisplacementWord], ...]
+    terms: tuple[tuple[complex, Word], ...]
     metadata: dict
 
     def to_json(self) -> list[dict]:
@@ -178,8 +150,8 @@ def _reduce_terms(raw, metadata) -> WitnessDescriptor:
         key = (amp1.real, amp1.imag, amp2.real, amp2.imag)
         acc[key] = acc.get(key, 0j) + coeff
     terms = tuple(
-        (acc[key], DisplacementWord(1.0, complex(key[0], key[1]),
-                                    complex(key[2], key[3])))
+        (acc[key], Word(1 + 0j, complex(key[0], key[1]),
+                        complex(key[2], key[3])))
         for key in sorted(acc) if abs(acc[key]) > COEFF_PRUNE)
     return WitnessDescriptor(terms, metadata)
 
@@ -189,7 +161,10 @@ def witness_from_eta(eta: np.ndarray, settings: Settings) -> WitnessDescriptor:
     eta = np.asarray(eta, dtype=complex)
     if eta.shape != (9,):
         raise ValueError(f"eta must be a 9-vector, got shape {eta.shape}")
-    if abs(np.linalg.norm(eta) - 1.0) > IMAG_TOL:
+    _check_finite(eta, "eta")
+    for name, value in settings._asdict().items():
+        _check_finite(value, f"settings.{name}")
+    if not abs(np.linalg.norm(eta) - 1.0) <= IMAG_TOL:
         raise ValueError(f"eta must have unit norm, got {np.linalg.norm(eta)!r}")
     # eta^dag M^G eta = tr{M Q} with Q = (eta eta^dag)^G, as the partial
     # transpose is self-adjoint under the trace; M_cc = 1, and as M and Q
@@ -222,6 +197,8 @@ def paper_witness(xi0: float, eps: float, w: float) -> WitnessDescriptor:
     witness_from_eta(canonical_eta(w), standard_settings(xi0, eps)) as an
     operator.
     """
+    _check_finite(xi0, "xi0")
+    _check_finite(eps, "eps")
     settings = standard_settings(xi0, eps)
     if not 0.0 < w <= 0.5:
         raise ValueError(f"w must be in (0, 1/2], got {w}")

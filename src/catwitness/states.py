@@ -407,11 +407,18 @@ def _c2j(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _j2c(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    re, im = v
-    return complex(re, im)
+def _j2f(v, key: str) -> float:
+    """A JSON number as a float; strings and booleans are rejected."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ValueError(f"{key!r} must be a JSON number, got {v!r}")
+    return float(v)
+
+
+def _j2c(v, key: str) -> complex:
+    """A JSON number or an [re, im] pair of them as a complex."""
+    if isinstance(v, (list, tuple)) and len(v) == 2:
+        return complex(_j2f(v[0], key), _j2f(v[1], key))
+    return complex(_j2f(v, key))
 
 
 def state_to_json(state) -> dict:
@@ -448,28 +455,32 @@ def state_from_json(data: dict):
     kind = data["kind"]
     if kind == "coherent_superposition":
         return CoherentSuperposition(tuple(
-            (_j2c(t["coeff"]), _j2c(t["amplitude"])) for t in data["terms"]))
+            (_j2c(t["coeff"], "coeff"), _j2c(t["amplitude"], "amplitude"))
+            for t in data["terms"]))
     if kind == "fock":
         n = data["n"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError(f"fock 'n' must be a JSON integer, got {n!r}")
         return FockState(n)
     if kind == "thermal":
-        return ThermalState(float(data["n_th"]))
+        return ThermalState(_j2f(data["n_th"], "n_th"))
     if kind == "cat":
-        return cat_state(_j2c(data["xi0"]), float(data.get("theta", 0.0)))
+        return cat_state(_j2c(data["xi0"], "xi0"),
+                         _j2f(data.get("theta", 0.0), "theta"))
     if kind == "decohered":
         return Decohered(state_from_json(data["inner"]),
-                         float(data["gamma_t"]), float(data["n_th"]))
+                         _j2f(data["gamma_t"], "gamma_t"),
+                         _j2f(data["n_th"], "n_th"))
     if kind == "pair_superposition":
         return PairSuperposition(tuple(
-            (_j2c(t["coeff"]), _j2c(t["amp1"]), _j2c(t["amp2"]))
-            for t in data["terms"]))
+            (_j2c(t["coeff"], "coeff"), _j2c(t["amp1"], "amp1"),
+             _j2c(t["amp2"], "amp2")) for t in data["terms"]))
     if kind == "product":
         return ProductState(state_from_json(data["left"]),
                             state_from_json(data["right"]))
     if kind == "mixture":
-        components = tuple((float(c["weight"]), state_from_json(c["state"]))
+        components = tuple((_j2f(c["weight"], "weight"),
+                            state_from_json(c["state"]))
                            for c in data["components"])
         if all(isinstance(s, TwoModeState) for _, s in components):
             return TwoModeMixture(components)

@@ -210,6 +210,10 @@ def test_chi_usage_errors(capsys):
                              f'{{"kind":"fock","n":{n}}}', "--alpha", "1")
         assert (code, out) == (2, "")
         assert "fock 'n' must be a JSON integer" in err
+    code, out, err = run(capsys, "chi", "--state",
+                         '{"kind":"thermal","n_th":"1.5"}', "--alpha", "1")
+    assert (code, out) == (2, "")
+    assert "'n_th' must be a JSON number" in err
 
 
 def test_ncregion_csv(capsys):

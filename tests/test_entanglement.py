@@ -1,4 +1,4 @@
-import cmath
+import json
 import math
 
 import numpy as np
@@ -6,7 +6,6 @@ import pytest
 
 from catwitness import (
     VACUUM,
-    DisplacementWord,
     ProductState,
     Settings,
     ThermalState,
@@ -21,38 +20,7 @@ from catwitness import (
     standard_settings,
     witness_expectation,
     witness_from_eta,
-    word_product,
 )
-from catwitness.entanglement import IDENTITY_WORD
-
-
-def test_displacement_word_validation():
-    with pytest.raises(ValueError):
-        DisplacementWord(2.0, 0.0, 0.0)
-    w = DisplacementWord(1j, 0.5, -0.3j)
-    assert w.dagger().amp1 == -0.5
-    assert w.dagger().phase == -1j
-
-
-def test_word_product_phase():
-    a = DisplacementWord(1.0, 0.6 + 0.2j, 0.0)
-    b = DisplacementWord(1.0, -0.3 + 0.5j, 0.0)
-    prod = word_product(a, b)
-    assert prod.amp1 == a.amp1 + b.amp1
-    want = cmath.exp(1j * (a.amp1 * b.amp1.conjugate()).imag)
-    assert prod.phase == pytest.approx(want, abs=1e-12)
-    # a word times its dagger is the identity
-    ident = word_product(a.dagger(), a)
-    assert ident.amp1 == 0 and ident.amp2 == 0
-    assert ident.phase == pytest.approx(1.0, abs=1e-12)
-
-
-def test_word_expectation_on_state():
-    state = entangled_cat(1.0, +1)
-    w = DisplacementWord(1j, 0.4, -0.2)
-    assert w.expectation(state) == pytest.approx(
-        1j * state.chi2(0.4, -0.2), abs=1e-12)
-    assert IDENTITY_WORD.expectation(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_standard_settings_geometry():
@@ -179,3 +147,147 @@ def test_witness_from_eta_input_validation():
         witness_from_eta(np.ones(9), settings)  # not unit norm
     with pytest.raises(ValueError):
         witness_from_eta(np.ones(4) / 2.0, settings)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: witness_from_eta(np.full(9, np.nan), standard_settings(1, 1)),
+     "eta"),
+    (lambda: witness_from_eta(np.r_[np.inf, np.zeros(8)],
+                              standard_settings(1, 1)), "eta"),
+    (lambda: witness_from_eta(canonical_eta(0.4),
+                              Settings(np.inf, 0j, 0j, 0j)), "settings.alpha1"),
+    (lambda: witness_from_eta(canonical_eta(0.4),
+                              Settings(0j, 0j, 0j, complex(0, np.nan))),
+     "settings.beta2"),
+    (lambda: paper_witness(np.inf, 1.0, 0.4), "xi0"),
+    (lambda: paper_witness(np.nan, 1.0, 0.4), "xi0"),
+    (lambda: paper_witness(1.0, np.inf, 0.4), "eps"),
+    (lambda: paper_witness(1.0, np.nan, 0.4), "eps"),
+    (lambda: paper_witness(1.0, 1.0, np.nan), "w"),
+])
+def test_witness_rejects_non_finite_input(build, name):
+    # a NaN once passed the norm check and gave an empty witness worth 0.0
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        build()
+
+
+# frozen json.dumps(wd.to_json()) of the two witnesses below, one term
+# per entry; the -0.0 components are part of the output
+PAPER_WITNESS_JSON = [
+    '{"coeff": [-0.22413525499922493, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [-1.8, -0.0], '
+    '"amp2": [-1.8, -0.0]}',
+    '{"coeff": [-0.22413525499922493, -1.372432613054383e-17], '
+    '"phase": [1.0, 0.0], "amp1": [-1.8, -0.0], '
+    '"amp2": [-1.8, 0.8726646259971648]}',
+    '{"coeff": [-0.22413525499922493, 1.372432613054383e-17], '
+    '"phase": [1.0, 0.0], "amp1": [-1.8, 0.8726646259971648], '
+    '"amp2": [-1.8, -0.0]}',
+    '{"coeff": [-0.22413525499922493, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [-1.8, 0.8726646259971648], '
+    '"amp2": [-1.8, 0.8726646259971648]}',
+    '{"coeff": [0.18037009, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [-0.0, -0.8726646259971648], '
+    '"amp2": [-0.0, -0.8726646259971648]}',
+    '{"coeff": [0.0, 0.36074018], '
+    '"phase": [1.0, 0.0], "amp1": [-0.0, -0.8726646259971648], '
+    '"amp2": [0.0, 0.0]}',
+    '{"coeff": [-0.18037009, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [-0.0, -0.8726646259971648], '
+    '"amp2": [0.0, 0.8726646259971648]}',
+    '{"coeff": [0.0, -0.36074018], '
+    '"phase": [1.0, 0.0], "amp1": [0.0, 0.0], '
+    '"amp2": [-0.0, -0.8726646259971648]}',
+    '{"coeff": [1.0, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [0.0, 0.0], '
+    '"amp2": [0.0, 0.0]}',
+    '{"coeff": [0.0, 0.36074018], '
+    '"phase": [1.0, 0.0], "amp1": [0.0, 0.0], '
+    '"amp2": [0.0, 0.8726646259971648]}',
+    '{"coeff": [-0.18037009, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [0.0, 0.8726646259971648], '
+    '"amp2": [-0.0, -0.8726646259971648]}',
+    '{"coeff": [0.0, -0.36074018], '
+    '"phase": [1.0, 0.0], "amp1": [0.0, 0.8726646259971648], '
+    '"amp2": [0.0, 0.0]}',
+    '{"coeff": [0.18037009, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [0.0, 0.8726646259971648], '
+    '"amp2": [0.0, 0.8726646259971648]}',
+    '{"coeff": [-0.22413525499922493, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [1.8, -0.8726646259971648], '
+    '"amp2": [1.8, -0.8726646259971648]}',
+    '{"coeff": [-0.22413525499922493, -1.372432613054383e-17], '
+    '"phase": [1.0, 0.0], "amp1": [1.8, -0.8726646259971648], '
+    '"amp2": [1.8, 0.0]}',
+    '{"coeff": [-0.22413525499922493, 1.372432613054383e-17], '
+    '"phase": [1.0, 0.0], "amp1": [1.8, 0.0], '
+    '"amp2": [1.8, -0.8726646259971648]}',
+    '{"coeff": [-0.22413525499922493, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [1.8, 0.0], '
+    '"amp2": [1.8, 0.0]}',
+]
+
+ETA_WITNESS_JSON = [
+    '{"coeff": [-0.23999999999999996, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [-2.0, -0.0], '
+    '"amp2": [-2.0, -0.0]}',
+    '{"coeff": [-0.20195303635389514, -0.1296725534083535], '
+    '"phase": [1.0, 0.0], "amp1": [-2.0, -0.0], '
+    '"amp2": [-2.0, 0.5]}',
+    '{"coeff": [-0.20195303635389514, 0.1296725534083535], '
+    '"phase": [1.0, 0.0], "amp1": [-2.0, 0.5], '
+    '"amp2": [-2.0, -0.0]}',
+    '{"coeff": [-0.23999999999999996, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [-2.0, 0.5], '
+    '"amp2": [-2.0, 0.5]}',
+    '{"coeff": [0.16000000000000003, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [-0.0, -0.5], '
+    '"amp2": [-0.0, -0.5]}',
+    '{"coeff": [0.0, 0.32000000000000006], '
+    '"phase": [1.0, 0.0], "amp1": [-0.0, -0.5], '
+    '"amp2": [-0.0, -0.0]}',
+    '{"coeff": [-0.16000000000000003, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [-0.0, -0.5], '
+    '"amp2": [0.0, 0.5]}',
+    '{"coeff": [0.0, -0.32000000000000006], '
+    '"phase": [1.0, 0.0], "amp1": [0.0, 0.0], '
+    '"amp2": [-0.0, -0.5]}',
+    '{"coeff": [1.0, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [0.0, 0.0], '
+    '"amp2": [0.0, 0.0]}',
+    '{"coeff": [0.0, 0.32000000000000006], '
+    '"phase": [1.0, 0.0], "amp1": [-0.0, -0.0], '
+    '"amp2": [0.0, 0.5]}',
+    '{"coeff": [-0.16000000000000003, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [0.0, 0.5], '
+    '"amp2": [-0.0, -0.5]}',
+    '{"coeff": [0.0, -0.32000000000000006], '
+    '"phase": [1.0, 0.0], "amp1": [0.0, 0.5], '
+    '"amp2": [0.0, 0.0]}',
+    '{"coeff": [0.16000000000000003, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [0.0, 0.5], '
+    '"amp2": [0.0, 0.5]}',
+    '{"coeff": [-0.23999999999999996, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [2.0, -0.5], '
+    '"amp2": [2.0, -0.5]}',
+    '{"coeff": [-0.20195303635389514, -0.1296725534083535], '
+    '"phase": [1.0, 0.0], "amp1": [2.0, -0.5], '
+    '"amp2": [2.0, 0.0]}',
+    '{"coeff": [-0.20195303635389514, 0.1296725534083535], '
+    '"phase": [1.0, 0.0], "amp1": [2.0, 0.0], '
+    '"amp2": [2.0, -0.5]}',
+    '{"coeff": [-0.23999999999999996, 0.0], '
+    '"phase": [1.0, 0.0], "amp1": [2.0, 0.0], '
+    '"amp2": [2.0, 0.0]}',
+]
+
+
+@pytest.mark.parametrize("wd, want", [
+    (lambda: paper_witness(0.9, math.pi / 2, 0.4247), PAPER_WITNESS_JSON),
+    (lambda: witness_from_eta(canonical_eta(0.4), standard_settings(1.0, 1.0)),
+     ETA_WITNESS_JSON),
+])
+def test_witness_json_bytes_are_pinned(wd, want):
+    # signed zeros included: a merged term keeps its first displacement's
+    # zero signs, so the JSON bytes depend on the merge order
+    assert json.dumps(wd().to_json()) == "[" + ", ".join(want) + "]"

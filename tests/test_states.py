@@ -272,6 +272,33 @@ def test_json_fock_takes_only_an_integer():
             state_from_json({"kind": "fock", "n": n})
 
 
+FOCK = {"kind": "fock", "n": 1}
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"kind": "thermal", "n_th": "1.5"}, "n_th"),
+    ({"kind": "thermal", "n_th": True}, "n_th"),
+    ({"kind": "cat", "xi0": True}, "xi0"),
+    ({"kind": "cat", "xi0": ["1", 0]}, "xi0"),
+    ({"kind": "cat", "xi0": [1, False]}, "xi0"),
+    ({"kind": "cat", "xi0": 1.0, "theta": "0"}, "theta"),
+    ({"kind": "decohered", "inner": FOCK, "gamma_t": "0.1", "n_th": 0.0},
+     "gamma_t"),
+    ({"kind": "decohered", "inner": FOCK, "gamma_t": 0.1, "n_th": False},
+     "n_th"),
+    ({"kind": "mixture", "components": [{"weight": "1", "state": FOCK}]},
+     "weight"),
+    ({"kind": "coherent_superposition",
+      "terms": [{"coeff": [True, 0], "amplitude": 0.5}]}, "coeff"),
+    ({"kind": "pair_superposition",
+      "terms": [{"coeff": 1.0, "amp1": 0.5, "amp2": "0.5"}]}, "amp2"),
+])
+def test_json_numbers_are_json_numbers(data, key):
+    # as fock 'n': a string or a boolean is not read as a number
+    with pytest.raises(ValueError, match=f"'{key}' must be a JSON number"):
+        state_from_json(data)
+
+
 def test_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         state_from_json({"kind": "squeezed"})
