@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .nonclassicality import _hermitian, _triu, min_eigenvalue
-from .states import TwoModeState, _check_finite
+from .states import TwoModeState, _check_points, _check_scalar
 
 IMAG_TOL = 1e-10
 COEFF_PRUNE = 1e-14
@@ -161,9 +161,9 @@ def witness_from_eta(eta: np.ndarray, settings: Settings) -> WitnessDescriptor:
     eta = np.asarray(eta, dtype=complex)
     if eta.shape != (9,):
         raise ValueError(f"eta must be a 9-vector, got shape {eta.shape}")
-    _check_finite(eta, "eta")
+    _check_points(eta, "eta")
     for name, value in settings._asdict().items():
-        _check_finite(value, f"settings.{name}")
+        _check_scalar(value, f"settings.{name}")
     if not abs(np.linalg.norm(eta) - 1.0) <= IMAG_TOL:
         raise ValueError(f"eta must have unit norm, got {np.linalg.norm(eta)!r}")
     # eta^dag M^G eta = tr{M Q} with Q = (eta eta^dag)^G, as the partial
@@ -197,8 +197,8 @@ def paper_witness(xi0: float, eps: float, w: float) -> WitnessDescriptor:
     witness_from_eta(canonical_eta(w), standard_settings(xi0, eps)) as an
     operator.
     """
-    _check_finite(xi0, "xi0")
-    _check_finite(eps, "eps")
+    _check_scalar(xi0, "xi0")
+    _check_scalar(eps, "eps")
     settings = standard_settings(xi0, eps)
     if not 0.0 < w <= 0.5:
         raise ValueError(f"w must be in (0, 1/2], got {w}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import SingleModeState, _check_finite
+from .states import SingleModeState, _check_scalar
 
 HERMITIAN_TOL = 1e-10
 # a scan builds per-cell arrays, so larger grids are refused up front
@@ -63,7 +63,7 @@ def bochner_matrix(state: SingleModeState,
                    points: list[complex]) -> np.ndarray:
     """M_ij = chi_N(alpha_i - alpha_j) over the given test points, a
     Hermitian ndarray with unit diagonal."""
-    pts = [_check_finite(p) for p in points]
+    pts = [_check_scalar(p) for p in points]
     if len(pts) < 2:
         raise ValueError("need at least 2 test points")
     if len(set(pts)) < len(pts):
@@ -92,7 +92,7 @@ def nc2_certificate(state: SingleModeState,
                     points: list[complex]) -> tuple[float, float]:
     """(det, min eigenvalue) of the 3-point Bochner matrix; either going
     negative certifies non-classicality."""
-    pts = [_check_finite(p) for p in points]
+    pts = [_check_scalar(p) for p in points]
     if len(pts) != 3:
         raise ValueError(f"need exactly 3 points, got {len(pts)}")
     if pts[0] != 0:

@@ -23,8 +23,8 @@ from .states import (
     PairSuperposition,
     SingleModeState,
     TwoModeState,
-    _check_finite,
-    _coherent_sum,
+    _check_scalar,
+    _superposition,
 )
 
 PSD_TOL = 1e-10
@@ -41,7 +41,7 @@ class RamseySetting:
     def __post_init__(self):
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite")
-        object.__setattr__(self, "alpha", _check_finite(self.alpha))
+        object.__setattr__(self, "alpha", _check_scalar(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,18 @@ def geometric_phase(p: CouplingParams) -> float:
     return (p.lam / p.omega) ** 2 * (wt - math.sin(wt))
 
 
+def _probabilities(phi: float, chi: complex) -> tuple[float, float]:
+    """(p_plus, p_minus) where chi(alpha) = chi, with Re{e^{i phi} chi}
+    clipped to [-1, 1]."""
+    z = min(1.0, max(-1.0, (cmath.exp(1j * phi) * chi).real))
+    p_plus = (1.0 + z) / 2.0
+    return p_plus, 1.0 - p_plus
+
+
 def outcome_probabilities(state: SingleModeState,
                           s: RamseySetting) -> tuple[float, float]:
     """(p_plus, p_minus) = (1 +- Re{e^{i phi} chi(alpha)}) / 2."""
-    z = (cmath.exp(1j * s.phi) * state.chi(s.alpha)).real
-    z = min(1.0, max(-1.0, z))
-    p_plus = (1.0 + z) / 2.0
-    return p_plus, 1.0 - p_plus
+    return _probabilities(s.phi, state.chi(s.alpha))
 
 
 def modular_expectation(state: SingleModeState, s: RamseySetting) -> float:
@@ -89,19 +94,26 @@ def modular_expectation(state: SingleModeState, s: RamseySetting) -> float:
 
 
 def chi_from_measurements(state: SingleModeState, alpha: complex) -> complex:
-    """Reconstruct chi(alpha) from two modular-variable measurements."""
-    re = modular_expectation(state, RamseySetting(0.0, alpha))
-    im = modular_expectation(state, RamseySetting(-math.pi / 2.0, alpha))
+    """Reconstruct chi(alpha) from the modular expectations at phi = 0 and
+    -pi/2, which share one chi call."""
+    chi = state.chi(_check_scalar(alpha))
+    re, im = (p_plus - p_minus for p_plus, p_minus in
+              (_probabilities(0.0, chi), _probabilities(-math.pi / 2.0, chi)))
     return complex(re, im)
+
+
+def _displaced(terms, alpha: complex):
+    """The terms of D(alpha) sum_k c_k |xi_k>, by
+    D(alpha)|xi> = e^{i Im(alpha xi*)} |xi + alpha>."""
+    return [(c * cmath.exp(1j * (alpha * xi.conjugate()).imag), xi + alpha)
+            for c, xi in terms]
 
 
 def _kraus_terms(terms, sign: int, phi: float, alpha: complex):
     """Unnormalized coherent-superposition image under E_sign(phi, alpha)."""
-    out = [(0.5 * c, xi) for c, xi in terms]
     phase = 0.5 * sign * cmath.exp(1j * phi)
-    out += [(phase * c * cmath.exp(1j * (alpha * xi.conjugate()).imag),
-             xi + alpha) for c, xi in terms]
-    return out
+    return ([(0.5 * c, xi) for c, xi in terms]
+            + [(phase * c, xi) for c, xi in _displaced(terms, alpha)])
 
 
 def conditional_state(state: SingleModeState, s: RamseySetting,
@@ -115,7 +127,7 @@ def conditional_state(state: SingleModeState, s: RamseySetting,
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     if isinstance(state, CoherentSuperposition):
         raw = _kraus_terms(state.terms, outcome, s.phi, s.alpha)
-        prob = _coherent_sum(raw, (0j,)).real
+        prob = _superposition(raw, 1)[1]
         if prob <= ZERO_PROB:
             raise ValueError(f"outcome {outcome:+d} has probability {prob:g}")
         return CoherentSuperposition(tuple(raw)), prob
@@ -134,30 +146,33 @@ def conditional_state(state: SingleModeState, s: RamseySetting,
                     "superpositions and mixtures of them")
 
 
+_U, _V = np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1])
+
+
+def _correlations(state: TwoModeState, alpha: complex, beta: complex,
+                  phi1, phi2):
+    """<Z1 Z2> = <Q(phi1, alpha) x Q(phi2, beta)> at each phase pair of
+    the arrays phi1, phi2, from one chi2 call at (u alpha, v beta), u and
+    v = +-1."""
+    chis = state.chi2(_U * _check_scalar(alpha), _V * _check_scalar(beta))
+    phases = np.multiply.outer(phi1, _U) + np.multiply.outer(phi2, _V)
+    return (np.exp(1j * phases) @ chis / 4.0).real
+
+
 def two_qubit_correlation(state: TwoModeState, s1: RamseySetting,
                           s2: RamseySetting) -> float:
     """<Z1 Z2> = <Q(phi1, alpha) x Q(phi2, beta)>."""
-    total = 0.0 + 0.0j
-    for u in (+1, -1):
-        for v in (+1, -1):
-            total += (cmath.exp(1j * (u * s1.phi + v * s2.phi))
-                      * state.chi2(u * s1.alpha, v * s2.alpha))
-    return (total / 4.0).real
+    return float(_correlations(state, s1.alpha, s2.alpha, s1.phi, s2.phi))
 
 
 def chi2_from_correlations(state: TwoModeState, alpha: complex,
                            beta: complex) -> complex:
-    """Reconstruct chi(alpha, beta) from four two-qubit correlations."""
-    half_pi = math.pi / 2.0
-    re = (two_qubit_correlation(state, RamseySetting(0.0, alpha),
-                                RamseySetting(0.0, beta))
-          - two_qubit_correlation(state, RamseySetting(-half_pi, alpha),
-                                  RamseySetting(-half_pi, beta)))
-    im = (two_qubit_correlation(state, RamseySetting(0.0, alpha),
-                                RamseySetting(-half_pi, beta))
-          + two_qubit_correlation(state, RamseySetting(-half_pi, alpha),
-                                  RamseySetting(0.0, beta)))
-    return complex(re, im)
+    """Reconstruct chi(alpha, beta) from the four two-qubit correlations at
+    phases 0 and -pi/2 per qubit, which share one chi2 call."""
+    h = -math.pi / 2.0
+    zz, hh, zh, hz = _correlations(state, alpha, beta, np.array([0, h, 0, h]),
+                                   np.array([0, h, h, 0]))
+    return complex(zz - hh, zh + hz)
 
 
 # ---------------------------------------------------------------------------
@@ -219,24 +234,12 @@ def prepare_conditional(psi: CoherentSuperposition, Theta: float, phi0: float,
         coeffs[(1, 0)] += amp * v1 * u2
         coeffs[(1, 1)] += amp * v1 * v2
 
-    alpha = s.alpha
-    raw = []
-    for (d1, d2), c in coeffs.items():
-        if c == 0:
-            continue
-        for c_k, xi_k in psi.terms:
-            for c_m, xi_m in psi.terms:
-                coeff = c * c_k * c_m
-                a1, a2 = xi_k, xi_m
-                if d1:
-                    coeff *= cmath.exp(1j * (alpha * a1.conjugate()).imag)
-                    a1 = a1 + alpha
-                if d2:
-                    coeff *= cmath.exp(1j * (alpha * a2.conjugate()).imag)
-                    a2 = a2 + alpha
-                raw.append((coeff, a1, a2))
+    # per mode, the terms of psi under d = 0 or 1 copies of D(alpha)
+    per_mode = (psi.terms, _displaced(psi.terms, s.alpha))
+    raw = [(c * c_k * c_m, a1, a2) for (d1, d2), c in coeffs.items() if c != 0
+           for c_k, a1 in per_mode[d1] for c_m, a2 in per_mode[d2]]
 
-    prob = _coherent_sum(raw, (0j, 0j)).real
+    prob = _superposition(raw, 2)[1]
     if prob <= ZERO_PROB:
         raise ValueError(f"outcome {outcome} has probability {prob:g}")
     return PairSuperposition(tuple(raw)), prob
@@ -266,8 +269,8 @@ class QubitPairState:
 def moments4(state: TwoModeState, alpha: complex, beta: complex) -> np.ndarray:
     """Gram matrix <V_a^dag V_b> of V in {1x1, 1xD(beta), D(alpha)x1,
     D(alpha)xD(beta)}, ordered (gg, ge, eg, ee)."""
-    return _gram(state.chi2, (0j, _check_finite(alpha)),
-                 (0j, _check_finite(beta)))
+    return _gram(state.chi2, (0j, _check_scalar(alpha)),
+                 (0j, _check_scalar(beta)))
 
 
 def qubit_channel(rho: QubitPairState, m: np.ndarray) -> QubitPairState:

@@ -4,8 +4,10 @@ Single- and two-mode states are immutable descriptors that expose the
 symmetric-ordered characteristic function chi(alpha) = <D(alpha)> and its
 normally-ordered variant chi_N(alpha) = exp(|alpha|^2/2) chi(alpha).
 Density matrices never appear here; the brute-force Fock-space path lives
-in :mod:`catwitness.oracle`. chi, chi_normal and chi2 take complex scalars
-(scalar code) or ndarrays (an array of the broadcast shape, one per point).
+in :mod:`catwitness.oracle`. chi, chi_normal and chi2 run one array code
+path per family: an ndarray gives an array of the broadcast shape, one
+value per point, and a complex scalar gives a complex scalar (a numpy
+complex128, which is an instance of complex).
 
 All states are kept in the frame rotating at the mechanical frequency, so
 free evolution is already factored out of every formula.
@@ -16,52 +18,56 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
 NORM_TOL = 1e-10
 WEIGHT_TOL = 1e-12
 DEGENERATE_NORM = 1e-14
+EXP_MAX = float(np.log(np.finfo(float).max))  # exp(EXP_MAX) is finite
 
 
-def _check_finite(z: complex, name: str = "amplitude") -> complex:
-    if isinstance(z, np.ndarray):
-        bad = ~np.isfinite(z)
-        if bad.any():
-            raise ValueError(f"{name} must be finite, got {complex(z[bad][0])}")
-        return z.astype(complex)
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+def _check_scalar(z, name: str = "amplitude") -> complex:
+    """A finite complex scalar parameter: a setting, xi0, a test point."""
+    try:
+        z = complex(z)
+    except TypeError:
+        raise ValueError(f"{name} must be a scalar, got {z!r}") from None
+    if not cmath.isfinite(z):
         raise ValueError(f"{name} must be finite, got {z}")
     return z
 
 
+def _check_points(z, name: str = "amplitude") -> np.ndarray:
+    """Evaluation points (or another array input) as a complex array, 0-d
+    for a scalar, all finite; the first offending entry is named."""
+    z = np.asarray(z, dtype=complex)
+    ok = np.isfinite(z)
+    if not ok.all():
+        raise ValueError(f"{name} must be finite, got {complex(z[~ok][0])}")
+    return z
+
+
 def _exp(x):
-    """math.exp, or np.exp on an array that raises OverflowError likewise."""
-    if not isinstance(x, np.ndarray):
-        return math.exp(x)
-    with np.errstate(over="ignore"):
-        out = np.exp(x)
-    if np.isinf(out).any():
+    """np.exp of a real argument; where it would overflow (above
+    EXP_MAX), OverflowError as from math.exp instead of a warning and inf."""
+    if (x > EXP_MAX).any():
         raise OverflowError("math range error")
-    return out
+    return np.exp(x)
+
+
+def _complex(x):
+    """x as complex: a complex scalar for a 0-d input, else an array."""
+    return np.asarray(x, dtype=complex)[()]
 
 
 def _laguerre(n: int, x):
     """Laguerre polynomial L_n(x) by the recurrence scipy's eval_laguerre
-    runs for integer n, in the same order, so both give the same floats.
-    x is a float (plain Python arithmetic) or an array (in-place ufuncs)."""
-    array = isinstance(x, np.ndarray)
+    runs for integer n, in the same order, so both give the same floats."""
     if n == 0:
-        return np.ones_like(x) if array else 1.0
+        return np.ones_like(x)
     d = -x
     p = d + 1.0
-    if not array:
-        for k in range(1, n):
-            d = -x / (k + 1) * p + (k / (k + 1)) * d
-            p = d + p
-        return p
     t = np.empty_like(x)
     for k in range(1, n):
         np.divide(x, -(k + 1), out=t)  # -x / (k + 1), exactly
@@ -72,14 +78,10 @@ def _laguerre(n: int, x):
     return p
 
 
-def _complex(x):
-    return x.astype(complex) if isinstance(x, np.ndarray) else complex(x)
-
-
 def coherent_overlap(xi: complex, xi_prime: complex) -> complex:
     """Inner product <xi|xi'> of two coherent states."""
-    xi = _check_finite(xi)
-    xi_prime = _check_finite(xi_prime)
+    xi = _check_scalar(xi)
+    xi_prime = _check_scalar(xi_prime)
     return cmath.exp(-(abs(xi) ** 2 + abs(xi_prime) ** 2) / 2.0
                      + xi.conjugate() * xi_prime)
 
@@ -87,51 +89,65 @@ def coherent_overlap(xi: complex, xi_prime: complex) -> complex:
 def displaced_matrix_element(xi_a: complex, alpha: complex,
                              xi_b: complex) -> complex:
     """<xi_a| D(alpha) |xi_b>, using D(alpha)|xi> = e^{i Im(alpha xi*)} |xi+alpha>."""
-    xi_a = _check_finite(xi_a)
-    alpha = _check_finite(alpha)
-    xi_b = _check_finite(xi_b)
+    xi_a = _check_scalar(xi_a)
+    alpha = _check_scalar(alpha)
+    xi_b = _check_scalar(xi_b)
     phase = cmath.exp(1j * (alpha * xi_b.conjugate()).imag)
     return phase * coherent_overlap(xi_a, xi_b + alpha)
 
 
-def _coherent_sum(terms, alphas) -> complex:
-    """sum_{k,l} c_k c_l* prod_m <x_l^m| D(alpha_m) |x_k^m> over the terms
-    (c, x^1, ..., x^M) of an M-mode coherent superposition.
-
-    With D(alpha)|x> = e^{i Im(alpha x*)} |x + alpha> and
-    <x|y> = exp(-|x|^2/2 - |y|^2/2 + x* y), each term pair is one
-    exponential of a ket part, a bra part and the cross term x_l* y_k.
-    All alphas = 0 gives the squared norm. Amplitudes and coefficients
-    must already be finite (validated by the callers).
-    """
-    if any(isinstance(a, np.ndarray) for a in alphas):
-        return _coherent_sum_array(terms, alphas)
-    kets, bras = [], []
-    for c, *xs in terms:
-        ys = [x + a for x, a in zip(xs, alphas)]
-        phase = sum((a * x.conjugate()).imag for x, a in zip(xs, alphas))
-        kets.append((c, complex(-0.5 * sum(abs(y) ** 2 for y in ys), phase),
-                     ys))
-        bras.append((c.conjugate(), -0.5 * sum(abs(x) ** 2 for x in xs),
-                     [x.conjugate() for x in xs]))
-    total = 0j
-    for c_k, e_k, ys in kets:
-        for cc_l, e_l, xcs in bras:
-            total += c_k * cc_l * cmath.exp(sum(map(mul, xcs, ys), e_k + e_l))
-    return total
-
-
-def _coherent_sum_array(terms, alphas) -> np.ndarray:
-    """_coherent_sum at each point of the broadcast alpha arrays, the P
-    points on a leading axis: one (P, K, K) exponent and one exp."""
-    a = np.stack(np.broadcast_arrays(*alphas), -1)[..., None, :]
+def _superposition(terms, modes: int):
+    """Term arrays (c, x, x*, e) of sum_k c_k |x_k^1, ..., x_k^modes>,
+    after one finiteness pass: coefficients c (K,), amplitudes x (K, modes)
+    and bra exponents e = -|x|^2 / 2 (K,); and the squared norm, from the
+    _coherent_sum exponent at a = 0 (whose ket part is e too)."""
+    if not terms:
+        raise ValueError("superposition needs at least one term")
     t = np.array(terms, dtype=complex)
+    if t.shape[1:] != (modes + 1,):
+        raise ValueError(f"a term is a coefficient and {modes} amplitude(s)")
+    ok = np.isfinite(t)
+    if not ok.all():
+        k, j = np.argwhere(~ok)[0]
+        raise ValueError(f"{'amplitude' if j else 'coefficient'} must be "
+                         f"finite, got {complex(t[k, j])}")
     c, x = t[:, 0], t[:, 1:]
+    xc = x.conj()
+    e = -0.5 * (abs(x) ** 2).sum(-1)
+    gram = x @ xc.T
+    gram += e[:, None]
+    gram += e
+    return (c, x, xc, e), (c @ np.exp(gram, out=gram) @ c.conj()).real
+
+
+def _coherent_sum(arrays, a):
+    """sum_{k,l} c_k c_l* prod_m <x_l^m| D(a_m) |x_k^m> at each point of
+    a (..., M), over the term arrays (c, x, x*, e) of _superposition.
+
+    With D(a)|x> = e^{i Im(a x*)} |x + a> and
+    <x|y> = exp(-|x|^2/2 - |y|^2/2 + x* y), each term pair is one
+    exponential of a ket part, the bra part e_l and the cross term
+    x_l* y_k: one (..., K, K) exponent, built in place, and one exp.
+    """
+    c, x, xc, e = arrays
+    a = a[..., None, :]
     y = x + a  # (..., K, M)
-    e_k = -0.5 * (abs(y) ** 2).sum(-1) + 1j * (a * x.conj()).imag.sum(-1)
-    e_l = -0.5 * (abs(x) ** 2).sum(-1)
-    expo = y @ x.conj().T + e_k[..., None] + e_l
-    return c @ np.exp(expo) @ c.conj()
+    expo = y @ xc.T
+    expo += (-0.5 * (abs(y) ** 2).sum(-1)
+             + 1j * (a * xc).imag.sum(-1))[..., None]
+    expo += e
+    return c @ np.exp(expo, out=expo) @ c.conj()
+
+
+def _normalize(state, modes: int):
+    """Check and renormalize a superposition's terms at construction,
+    keeping its term arrays for _coherent_sum."""
+    (c, x, xc, e), norm_sq = _superposition(state.terms, modes)
+    if norm_sq < DEGENERATE_NORM:
+        raise ValueError(f"degenerate superposition, squared norm {norm_sq:g}")
+    c = c * (1.0 / math.sqrt(norm_sq))
+    object.__setattr__(state, "terms", tuple(zip(c.tolist(), *x.T.tolist())))
+    object.__setattr__(state, "_arrays", (c, x, xc, e))
 
 
 class SingleModeState:
@@ -143,7 +159,7 @@ class SingleModeState:
 
     def chi_normal(self, alpha: complex) -> complex:
         """Normally-ordered characteristic function e^{|alpha|^2/2} chi(alpha)."""
-        alpha = _check_finite(alpha)
+        alpha = _check_points(alpha)
         return _exp(abs(alpha) ** 2 / 2.0) * self.chi(alpha)
 
 
@@ -162,19 +178,10 @@ class CoherentSuperposition(SingleModeState):
     terms: tuple[tuple[complex, complex], ...]
 
     def __post_init__(self):
-        terms = tuple((_check_finite(c, "coefficient"), _check_finite(xi))
-                      for c, xi in self.terms)
-        if not terms:
-            raise ValueError("superposition needs at least one term")
-        norm_sq = _coherent_sum(terms, (0j,)).real
-        if norm_sq < DEGENERATE_NORM:
-            raise ValueError(f"degenerate superposition, squared norm {norm_sq:g}")
-        scale = 1.0 / math.sqrt(norm_sq)
-        object.__setattr__(self, "terms",
-                           tuple((c * scale, xi) for c, xi in terms))
+        _normalize(self, 1)
 
     def chi(self, alpha: complex) -> complex:
-        return _coherent_sum(self.terms, (_check_finite(alpha),))
+        return _coherent_sum(self._arrays, _check_points(alpha)[..., None])
 
 
 @dataclass(frozen=True)
@@ -188,12 +195,11 @@ class FockState(SingleModeState):
             raise ValueError(f"Fock index must be a non-negative integer, got {self.n}")
 
     def chi(self, alpha: complex) -> complex:
-        alpha = _check_finite(alpha)
-        x = abs(alpha) ** 2
+        x = abs(_check_points(alpha)) ** 2
         return _complex(_exp(-x / 2.0) * _laguerre(self.n, x))
 
     def chi_normal(self, alpha: complex) -> complex:
-        return _complex(_laguerre(self.n, abs(_check_finite(alpha)) ** 2))
+        return _complex(_laguerre(self.n, abs(_check_points(alpha)) ** 2))
 
 
 @dataclass(frozen=True)
@@ -207,11 +213,11 @@ class ThermalState(SingleModeState):
         _check_rate(self.n_th, "n_th")
 
     def chi(self, alpha: complex) -> complex:
-        alpha = _check_finite(alpha)
-        return _complex(_exp(-(2 * self.n_th + 1) * abs(alpha) ** 2 / 2.0))
+        x = abs(_check_points(alpha)) ** 2
+        return _complex(_exp(-(2 * self.n_th + 1) * x / 2.0))
 
     def chi_normal(self, alpha: complex) -> complex:
-        return _complex(_exp(-self.n_th * abs(_check_finite(alpha)) ** 2))
+        return _complex(_exp(-self.n_th * abs(_check_points(alpha)) ** 2))
 
 
 @dataclass(frozen=True)
@@ -268,26 +274,20 @@ class Decohered(SingleModeState):
 
 
 def _check_rate(value, name: str):
-    """value must be finite and >= 0; an array is checked elementwise and
-    its first offending element is named."""
-    if isinstance(value, np.ndarray):
-        ok = (value >= 0) & (value < math.inf)  # NaN fails both
-        if ok.all():
-            return
-        value = float(value[~ok][0])
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be >= 0, got {value}")
+    """value, a float or an array, must be finite and >= 0 throughout;
+    the first offending element is named."""
+    value = np.asarray(value, dtype=float)
+    bad = ~((value >= 0) & (value < math.inf))  # NaN fails both
+    if bad.any():
+        raise ValueError(f"{name} must be >= 0, got {float(value[bad][0])}")
 
 
 def _damp(fn, alpha, gamma_t, n):
     """Decohered's channel map on the characteristic function fn of the
     initial state, with n = n_th + 1/2 for chi and n = n_th for chi_N;
     gamma_t is a float or an array of times, all served by one fn call."""
-    alpha = _check_finite(alpha)
-    if isinstance(gamma_t, np.ndarray):
-        loss, shrink = -np.expm1(-gamma_t), np.exp(-gamma_t / 2.0)
-    else:
-        loss, shrink = -math.expm1(-gamma_t), math.exp(-gamma_t / 2.0)
+    alpha = _check_points(alpha)
+    loss, shrink = -np.expm1(-gamma_t), np.exp(-gamma_t / 2.0)
     return _exp(-n * loss * abs(alpha) ** 2) * fn(alpha * shrink)
 
 
@@ -307,20 +307,11 @@ class PairSuperposition(TwoModeState):
     terms: tuple[tuple[complex, complex, complex], ...]
 
     def __post_init__(self):
-        terms = tuple((_check_finite(c, "coefficient"), _check_finite(a),
-                       _check_finite(b)) for c, a, b in self.terms)
-        if not terms:
-            raise ValueError("superposition needs at least one term")
-        norm_sq = _coherent_sum(terms, (0j, 0j)).real
-        if norm_sq < DEGENERATE_NORM:
-            raise ValueError(f"degenerate superposition, squared norm {norm_sq:g}")
-        scale = 1.0 / math.sqrt(norm_sq)
-        object.__setattr__(self, "terms",
-                           tuple((c * scale, a, b) for c, a, b in terms))
+        _normalize(self, 2)
 
     def chi2(self, alpha: complex, beta: complex) -> complex:
-        return _coherent_sum(self.terms,
-                             (_check_finite(alpha), _check_finite(beta)))
+        a = np.broadcast_arrays(_check_points(alpha), _check_points(beta))
+        return _coherent_sum(self._arrays, np.stack(a, -1))
 
 
 @dataclass(frozen=True)
@@ -371,7 +362,7 @@ def cat_state(xi0: complex, theta: float) -> CoherentSuperposition:
     p_plus = (1 + cos(theta) exp(-|xi0|^2/2)) / 2; the destructive-degenerate
     point p_plus ~ 0 is rejected.
     """
-    xi0 = _check_finite(xi0)
+    xi0 = _check_scalar(xi0, "xi0")
     p_plus = (1.0 + math.cos(theta) * math.exp(-abs(xi0) ** 2 / 2.0)) / 2.0
     if p_plus <= DEGENERATE_NORM:
         raise ValueError(f"degenerate cat-state normalization, p_plus={p_plus:g}")
@@ -382,7 +373,7 @@ def cat_state(xi0: complex, theta: float) -> CoherentSuperposition:
 
 def entangled_cat(xi0: complex, sign: int = +1) -> PairSuperposition:
     """Two-mode superposition (|xi0,xi0> + sign |-xi0,-xi0>), normalized."""
-    xi0 = _check_finite(xi0)
+    xi0 = _check_scalar(xi0, "xi0")
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     norm_sq = 2.0 + 2.0 * sign * math.exp(-4.0 * abs(xi0) ** 2)

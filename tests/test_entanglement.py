@@ -164,10 +164,20 @@ def test_witness_from_eta_input_validation():
     (lambda: paper_witness(1.0, np.inf, 0.4), "eps"),
     (lambda: paper_witness(1.0, np.nan, 0.4), "eps"),
     (lambda: paper_witness(1.0, 1.0, np.nan), "w"),
+    (lambda: witness_from_eta(canonical_eta(0.4), standard_settings(
+        1.0, np.array([1.0, 2.0]))), "settings.alpha2 must be a scalar"),
+    (lambda: paper_witness(1.0, np.array([1.0, 2.0]), 0.4),
+     "eps must be a scalar"),
+    (lambda: paper_witness(np.array([1.0, 2.0]), 1.0, 0.4),
+     "xi0 must be a scalar"),
 ])
 def test_witness_rejects_non_finite_input(build, name):
-    # a NaN once passed the norm check and gave an empty witness worth 0.0
-    with pytest.raises(ValueError, match=rf"^{name} must"):
+    # a NaN once passed the norm check and gave an empty witness worth 0.0;
+    # array-valued settings, eps or xi0 once raised AttributeError,
+    # TypeError or numpy's ambiguous-truth-value error. A name that states
+    # its reason ("... must be a scalar") is matched as it stands.
+    must = "" if " must " in name else " must"
+    with pytest.raises(ValueError, match=rf"^{name}{must}"):
         build()
 
 

@@ -2,11 +2,15 @@
 
 They guard the stacked moment-matrix paths (one chi_N call per scan, one
 determinant or eigensolve per scan) against per-matrix references built
-here, the array forms of chi, chi_N and chi2 against their scalar forms,
-the defining identities of chi, the sign of the witness on separable
-states, and the JSON round trip of every state family.
+here, the array forms of chi, chi_N and chi2 against per-point references
+written here independently of the kernels in states.py (cmath double sums
+for coherent superpositions, scipy's eval_laguerre for Fock states, the
+closed-form Gaussians for thermal states), the defining identities of chi,
+the sign of the witness on separable states, and the JSON round trip of
+every state family.
 """
 
+import cmath
 import json
 import math
 import warnings
@@ -14,9 +18,11 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import eval_laguerre
 
 from catwitness import (
     CoherentSuperposition,
+    Decohered,
     FockState,
     GridSpec,
     Mixture,
@@ -170,12 +176,61 @@ def test_chi_identities(state, alpha):
     assert abs(state.chi(alpha)) <= 1 + 1e-12
 
 
+def reference_coherent_sum(terms, alphas):
+    """sum_{k,l} c_k c_l* prod_m <x_l^m| D(alpha_m) |x_k^m>, one term pair
+    at a time, with D(a)|x> = e^{i Im(a x*)} |x + a> and
+    <x|y> = exp(-|x|^2/2 - |y|^2/2 + x* y)."""
+    total = 0j
+    for c_k, *xs_k in terms:
+        for c_l, *xs_l in terms:
+            term = c_k * c_l.conjugate()
+            for a, x_k, x_l in zip(alphas, xs_k, xs_l):
+                y = x_k + a
+                term *= cmath.exp(1j * (a * x_k.conjugate()).imag
+                                  - abs(x_l) ** 2 / 2 - abs(y) ** 2 / 2
+                                  + x_l.conjugate() * y)
+            total += term
+    return total
+
+
+def reference_chi(state, a: complex, normal: bool) -> complex:
+    """chi(a), or chi_N(a) if normal, of a single-mode state at one point."""
+    x = abs(a) ** 2
+    if isinstance(state, CoherentSuperposition):
+        return reference_coherent_sum(state.terms, (a,)) * (
+            math.exp(x / 2) if normal else 1.0)
+    if isinstance(state, FockState):
+        return eval_laguerre(state.n, x) * (1.0 if normal
+                                            else math.exp(-x / 2))
+    if isinstance(state, ThermalState):
+        return math.exp(-(state.n_th + (0.0 if normal else 0.5)) * x)
+    if isinstance(state, Mixture):
+        return sum(w * reference_chi(s, a, normal)
+                   for w, s in state.components)
+    assert isinstance(state, Decohered)
+    n = state.n_th + (0.0 if normal else 0.5)
+    return (math.exp(-n * -math.expm1(-state.gamma_t) * x)
+            * reference_chi(state.inner, a * math.exp(-state.gamma_t / 2),
+                            normal))
+
+
+def reference_chi2(state, a: complex, b: complex) -> complex:
+    if isinstance(state, PairSuperposition):
+        return reference_coherent_sum(state.terms, (a, b))
+    if isinstance(state, ProductState):
+        return (reference_chi(state.left, a, False)
+                * reference_chi(state.right, b, False))
+    assert isinstance(state, TwoModeMixture)
+    return sum(w * reference_chi2(s, a, b) for w, s in state.components)
+
+
 @SETTINGS
 @given(every_single_mode, point_arrays(1))
 def test_batched_chi_equals_scalar(state, points):
     (alphas,) = points
-    for f in (state.chi, state.chi_normal):
-        want = [f(complex(a)) for a in alphas.ravel()]
+    for f, normal in ((state.chi, False), (state.chi_normal, True)):
+        want = [reference_chi(state, a, normal)
+                for a in alphas.ravel().tolist()]
         assert_close(f(alphas), np.reshape(want, alphas.shape))
 
 
@@ -183,8 +238,8 @@ def test_batched_chi_equals_scalar(state, points):
 @given(two_mode, point_arrays(2))
 def test_batched_chi2_equals_scalar(state, points):
     alphas, betas = points
-    want = [state.chi2(complex(a), complex(b))
-            for a, b in zip(alphas.ravel(), betas.ravel())]
+    want = [reference_chi2(state, a, b)
+            for a, b in zip(alphas.ravel().tolist(), betas.ravel().tolist())]
     assert_close(state.chi2(alphas, betas),
                  np.reshape(want, alphas.shape))
 

@@ -10,6 +10,7 @@ from catwitness import (
     CouplingParams,
     FockState,
     Mixture,
+    PairSuperposition,
     QubitPairState,
     RamseySetting,
     cat_state,
@@ -73,6 +74,33 @@ def test_chi_from_measurements_reconstructs_chi():
             a = complex(*rng.standard_normal(2))
             assert chi_from_measurements(state, a) == pytest.approx(
                 state.chi(a), abs=1e-12)
+
+
+def test_reconstructions_make_one_call_each(monkeypatch):
+    # chi_from_measurements shares one chi call between its two phases and
+    # chi2_from_correlations one chi2 call over (+-alpha, +-beta) between
+    # its four correlations
+    calls = []
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def counted(self, *points):
+            calls.append((name, [np.shape(p) for p in points]))
+            return method(self, *points)
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(CoherentSuperposition, "chi")
+    counting(PairSuperposition, "chi2")
+    state = cat_state(1.2, 0.4)
+    got = chi_from_measurements(state, 0.5 - 0.3j)
+    assert calls == [("chi", [()])]
+    assert got == pytest.approx(state.chi(0.5 - 0.3j), abs=1e-12)
+    calls.clear()
+    pair = entangled_cat(1.0, +1)
+    got = chi2_from_correlations(pair, 0.4 + 0.1j, -0.3j)
+    assert calls == [("chi2", [(4,), (4,)])]
+    assert got == pytest.approx(pair.chi2(0.4 + 0.1j, -0.3j), abs=1e-12)
 
 
 def test_conditional_state_probabilities_sum():

@@ -1,4 +1,6 @@
+import ast
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -26,6 +28,7 @@ from catwitness import (
     state_from_json,
     state_to_json,
 )
+from catwitness import states
 from catwitness.states import _laguerre, damped_chi_normal
 
 
@@ -106,6 +109,48 @@ def test_laguerre_equals_scipy_eval_laguerre():
         assert np.array_equal(got, eval_laguerre(n, x))
         for xi in x[::50].tolist():
             assert _laguerre(n, xi) == eval_laguerre(n, xi)
+
+
+SINGLE_MODE = [cat_state(1.5, 0.7),
+               CoherentSuperposition(((1.0, 0.3 - 0.2j),)),
+               VACUUM, FockState(3), ThermalState(0.8),
+               Mixture(((0.4, FockState(0)), (0.6, cat_state(1.0, 0.0)))),
+               decohere(FockState(0), 0.3, 0.5),
+               decohere(cat_state(1.0, 0.0), 0.3, 2.0)]
+TWO_MODE = [entangled_cat(1.2, -1),
+            PairSuperposition(((1.0, 0.5, 0.2j), (0.5j, -0.2j, 0.5))),
+            ProductState(FockState(0), ThermalState(0.5)),
+            TwoModeMixture(((0.5, entangled_cat(1.0, +1)),
+                            (0.5, ProductState(VACUUM, FockState(2)))))]
+
+
+@pytest.mark.parametrize("alpha", [0.7 - 0.4j, 0j, 1.5])
+def test_scalar_in_gives_scalar_out(alpha):
+    # one array path per family, yet a scalar gives a complex scalar (a
+    # 0-d ndarray is not an instance of complex), for every family
+    for state in SINGLE_MODE:
+        for value in (state.chi(alpha), state.chi_normal(alpha)):
+            assert isinstance(value, complex), (state, type(value))
+    for state in TWO_MODE:
+        value = state.chi2(alpha, -alpha)
+        assert isinstance(value, complex), (state, type(value))
+    # the oracle and state_to_json read terms as Python complex numbers
+    for state in (cat_state(1.5, 0.7), entangled_cat(1.2, -1)):
+        for term in state.terms:
+            assert type(term) is tuple
+            assert all(type(z) is complex for z in term)
+
+
+def test_states_has_no_ndarray_dispatch():
+    # chi, chi_normal and chi2 run one array code path for scalars and
+    # arrays alike: nothing in states.py forks on isinstance(..., ndarray)
+    checks = [node for node in ast.walk(ast.parse(inspect.getsource(states)))
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance"]
+    assert checks  # state_to_json dispatches on the state classes
+    for node in checks:
+        assert "ndarray" not in ast.unparse(node.args[1]), ast.unparse(node)
 
 
 def test_chi_normal_stays_finite_where_chi_underflows():
