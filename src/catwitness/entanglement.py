@@ -69,7 +69,9 @@ def _gram_words(mode1, mode2):
     a = len(mode2) i + j. Mode entries may be arrays of one broadcast
     shape, which then leads the returned arrays."""
     n1, n2 = len(mode1), len(mode2)
-    amps = np.stack(np.broadcast_arrays(*mode1, *mode2), -1).astype(complex)
+    amps = np.empty(np.broadcast(*mode1, *mode2).shape + (n1 + n2,), complex)
+    for i, w in enumerate((*mode1, *mode2)):
+        amps[..., i] = w
     a, b, _ = _triu(n1 * n2)
     x_a, x_b = amps[..., a // n2], amps[..., b // n2]
     y_a, y_b = amps[..., n1 + a % n2], amps[..., n1 + b % n2]

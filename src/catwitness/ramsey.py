@@ -24,6 +24,7 @@ from .states import (
     SingleModeState,
     TwoModeState,
     _check_scalar,
+    _from_arrays,
     _superposition,
 )
 
@@ -127,10 +128,10 @@ def conditional_state(state: SingleModeState, s: RamseySetting,
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     if isinstance(state, CoherentSuperposition):
         raw = _kraus_terms(state.terms, outcome, s.phi, s.alpha)
-        prob = _superposition(raw, 1)[1]
+        arrays, prob = _superposition(raw, 1)
         if prob <= ZERO_PROB:
             raise ValueError(f"outcome {outcome:+d} has probability {prob:g}")
-        return CoherentSuperposition(tuple(raw)), prob
+        return _from_arrays(CoherentSuperposition, arrays, prob), prob
     if isinstance(state, Mixture):
         parts = []
         total = 0.0
@@ -239,10 +240,10 @@ def prepare_conditional(psi: CoherentSuperposition, Theta: float, phi0: float,
     raw = [(c * c_k * c_m, a1, a2) for (d1, d2), c in coeffs.items() if c != 0
            for c_k, a1 in per_mode[d1] for c_m, a2 in per_mode[d2]]
 
-    prob = _superposition(raw, 2)[1]
+    arrays, prob = _superposition(raw, 2)
     if prob <= ZERO_PROB:
         raise ValueError(f"outcome {outcome} has probability {prob:g}")
-    return PairSuperposition(tuple(raw)), prob
+    return _from_arrays(PairSuperposition, arrays, prob), prob
 
 
 # ---------------------------------------------------------------------------

@@ -48,12 +48,12 @@ def _check_points(z, name: str = "amplitude") -> np.ndarray:
     return z
 
 
-def _exp(x):
-    """np.exp of a real argument; where it would overflow (above
-    EXP_MAX), OverflowError as from math.exp instead of a warning and inf."""
-    if (x > EXP_MAX).any():
+def _exp(x, out=None):
+    """np.exp; where it would overflow (a real part above EXP_MAX),
+    OverflowError as from math.exp instead of a warning and inf."""
+    if (np.real(x) > EXP_MAX).any():
         raise OverflowError("math range error")
-    return np.exp(x)
+    return np.exp(x, out=out)
 
 
 def _complex(x):
@@ -97,10 +97,11 @@ def displaced_matrix_element(xi_a: complex, alpha: complex,
 
 
 def _superposition(terms, modes: int):
-    """Term arrays (c, x, x*, e) of sum_k c_k |x_k^1, ..., x_k^modes>,
-    after one finiteness pass: coefficients c (K,), amplitudes x (K, modes)
-    and bra exponents e = -|x|^2 / 2 (K,); and the squared norm, from the
-    _coherent_sum exponent at a = 0 (whose ket part is e too)."""
+    """Term arrays (c, x*^T, g) of sum_k c_k |x_k^1, ..., x_k^modes>, after
+    one finiteness pass: coefficients (K,), conjugate amplitudes (modes, K)
+    and the Gram exponent g (K, K), the _coherent_sum exponent at a = 0,
+    whose diagonal has real part 0 exactly (so that one coherent term has
+    |chi_N| = 1 to an ulp); and the squared norm c e^g c*."""
     if not terms:
         raise ValueError("superposition needs at least one term")
     t = np.array(terms, dtype=complex)
@@ -112,42 +113,48 @@ def _superposition(terms, modes: int):
         raise ValueError(f"{'amplitude' if j else 'coefficient'} must be "
                          f"finite, got {complex(t[k, j])}")
     c, x = t[:, 0], t[:, 1:]
-    xc = x.conj()
-    e = -0.5 * (abs(x) ** 2).sum(-1)
-    gram = x @ xc.T
-    gram += e[:, None]
-    gram += e
-    return (c, x, xc, e), (c @ np.exp(gram, out=gram) @ c.conj()).real
+    xct = x.conj().T
+    g = x @ xct
+    e = -0.5 * g.diagonal().real
+    g += e[:, None] + e
+    return (c, xct, g), (c @ np.exp(g) @ c.conj()).real
 
 
-def _coherent_sum(arrays, a):
+def _coherent_sum(arrays, a, normal: bool = False):
     """sum_{k,l} c_k c_l* prod_m <x_l^m| D(a_m) |x_k^m> at each point of
-    a (..., M), over the term arrays (c, x, x*, e) of _superposition.
+    a (..., M), over the term arrays (c, x*^T, g) of _superposition; with
+    normal, times e^{|a|^2/2}, which gives chi_N.
 
-    With D(a)|x> = e^{i Im(a x*)} |x + a> and
-    <x|y> = exp(-|x|^2/2 - |y|^2/2 + x* y), each term pair is one
-    exponential of a ket part, the bra part e_l and the cross term
-    x_l* y_k: one (..., K, K) exponent, built in place, and one exp.
-    """
-    c, x, xc, e = arrays
-    a = a[..., None, :]
-    y = x + a  # (..., K, M)
-    expo = y @ xc.T
-    expo += (-0.5 * (abs(y) ** 2).sum(-1)
-             + 1j * (a * xc).imag.sum(-1))[..., None]
-    expo += e
-    return c @ np.exp(expo, out=expo) @ c.conj()
+    By D(a)|x> = e^{i Im(a x*)} |x + a>, each term pair is e to the power
+    g_kl + a.x_l* - (a.x_k*)* - |a|^2/2, kept combined as its parts alone
+    overflow at macroscopic amplitudes: one (P, M) x (M, K) product a.x*,
+    one (P, K, K) exponent and exp, and two 2-D products."""
+    c, xct, g = arrays
+    shape, a = a.shape[:-1], a.reshape(-1, xct.shape[0])
+    p = a @ xct  # (P, K)
+    expo = p[:, None, :] - p.conj()[:, :, None]
+    expo += g
+    if not normal:
+        expo.real -= 0.5 * (abs(a) ** 2).sum(-1)[:, None, None]
+    e = _exp(expo, out=expo).reshape(-1, len(c))
+    return ((e @ c.conj()).reshape(-1, len(c)) @ c).reshape(shape)[()]
 
 
-def _normalize(state, modes: int):
-    """Check and renormalize a superposition's terms at construction,
-    keeping its term arrays for _coherent_sum."""
-    (c, x, xc, e), norm_sq = _superposition(state.terms, modes)
+def _normalize(state, arrays, norm_sq):
+    """Renormalize a superposition to the term arrays and squared norm of
+    _superposition, keeping the arrays for _coherent_sum."""
     if norm_sq < DEGENERATE_NORM:
         raise ValueError(f"degenerate superposition, squared norm {norm_sq:g}")
-    c = c * (1.0 / math.sqrt(norm_sq))
-    object.__setattr__(state, "terms", tuple(zip(c.tolist(), *x.T.tolist())))
-    object.__setattr__(state, "_arrays", (c, x, xc, e))
+    c = arrays[0] * (1.0 / math.sqrt(norm_sq))
+    terms = zip(c.tolist(), *arrays[1].conj().tolist())
+    object.__setattr__(state, "terms", tuple(terms))
+    object.__setattr__(state, "_arrays", (c, *arrays[1:]))
+    return state
+
+
+def _from_arrays(cls, arrays, norm_sq):
+    """A cls superposition from the term arrays and norm of _superposition."""
+    return _normalize(object.__new__(cls), arrays, norm_sq)
 
 
 class SingleModeState:
@@ -159,8 +166,7 @@ class SingleModeState:
 
     def chi_normal(self, alpha: complex) -> complex:
         """Normally-ordered characteristic function e^{|alpha|^2/2} chi(alpha)."""
-        alpha = _check_points(alpha)
-        return _exp(abs(alpha) ** 2 / 2.0) * self.chi(alpha)
+        raise NotImplementedError
 
 
 class TwoModeState:
@@ -178,10 +184,14 @@ class CoherentSuperposition(SingleModeState):
     terms: tuple[tuple[complex, complex], ...]
 
     def __post_init__(self):
-        _normalize(self, 1)
+        _normalize(self, *_superposition(self.terms, 1))
 
     def chi(self, alpha: complex) -> complex:
         return _coherent_sum(self._arrays, _check_points(alpha)[..., None])
+
+    def chi_normal(self, alpha: complex) -> complex:
+        return _coherent_sum(self._arrays, _check_points(alpha)[..., None],
+                             normal=True)
 
 
 @dataclass(frozen=True)
@@ -307,11 +317,12 @@ class PairSuperposition(TwoModeState):
     terms: tuple[tuple[complex, complex, complex], ...]
 
     def __post_init__(self):
-        _normalize(self, 2)
+        _normalize(self, *_superposition(self.terms, 2))
 
     def chi2(self, alpha: complex, beta: complex) -> complex:
-        a = np.broadcast_arrays(_check_points(alpha), _check_points(beta))
-        return _coherent_sum(self._arrays, np.stack(a, -1))
+        a = np.empty(np.broadcast(alpha, beta).shape + (2,), dtype=complex)
+        a[..., 0], a[..., 1] = alpha, beta
+        return _coherent_sum(self._arrays, _check_points(a))
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,11 @@ def test_overflow_exits_2(capsys):
                        "--grid", "39:40:1", "--certificate", "nc1")
     assert code == 0
     assert out.strip().split("\n")[1:] == ["39,0,1519,1", "40,0,1598,1"]
-    code, out, err = run(capsys, "chi", "--state", "cat:2,0", "--alpha", "40")
+    # chi_N of the cat is about e^78 at |alpha| = 40 and e^798 at 400
+    code, out, _ = run(capsys, "chi", "--state", "cat:2,0", "--alpha", "40")
+    assert code == 0
+    assert math.isfinite(float(out.split()[1].split(",")[4]))
+    code, out, err = run(capsys, "chi", "--state", "cat:2,0", "--alpha", "400")
     assert (code, out) == (2, "")
     assert "overflow" in err
 

@@ -5,7 +5,8 @@ determinant or eigensolve per scan) against per-matrix references built
 here, the array forms of chi, chi_N and chi2 against per-point references
 written here independently of the kernels in states.py (cmath double sums
 for coherent superpositions, scipy's eval_laguerre for Fock states, the
-closed-form Gaussians for thermal states), the defining identities of chi,
+closed-form Gaussians for thermal states), also at macroscopic
+amplitudes, the defining identities of chi,
 the sign of the witness on separable states, and the JSON round trip of
 every state family.
 """
@@ -17,7 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import eval_laguerre
 
 from catwitness import (
@@ -244,6 +245,45 @@ def test_batched_chi2_equals_scalar(state, points):
                  np.reshape(want, alphas.shape))
 
 
+macro_amps = st.builds(cmath.rect, st.floats(0.0, 19.0),
+                       st.floats(-math.pi, math.pi))
+offsets = st.builds(cmath.rect, st.floats(0.0, 1.0),
+                    st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def macroscopic(draw, cls, modes):
+    """A superposition of 1 to 3 terms with |x| <= 19 per mode, and six
+    points (6, modes) within 1 of a difference x_l - x_k per mode, so
+    |alpha| <= 39, where the term pair (k, l) is of order one."""
+    terms = draw(st.lists(st.tuples(complexes, *[macro_amps] * modes),
+                          min_size=1, max_size=3))
+    try:
+        state = cls(tuple(terms))
+    except ValueError:  # a degenerate draw, such as all coefficients 0
+        assume(False)
+    points = []
+    for _ in range(6):
+        k, l = (draw(st.integers(0, len(terms) - 1)) for _ in range(2))
+        points.append([terms[l][m] - terms[k][m] + draw(offsets)
+                       for m in range(1, modes + 1)])
+    return state, np.array(points)
+
+
+@SETTINGS
+@given(st.one_of(macroscopic(CoherentSuperposition, 1),
+                 macroscopic(PairSuperposition, 2)))
+def test_coherent_sums_at_macroscopic_amplitudes(case):
+    state, points = case
+    if isinstance(state, PairSuperposition):
+        got = state.chi2(points[:, 0], points[:, 1])
+    else:
+        got = state.chi(points[:, 0])
+    want = [reference_coherent_sum(state.terms, p) for p in points.tolist()]
+    assert np.isfinite(got).all()
+    assert_close(got, want)
+
+
 @SETTINGS
 @given(two_mode, st.floats(0.3, 2.0),
        st.lists(st.floats(0.1, 2.5), min_size=1, max_size=6),
@@ -275,9 +315,9 @@ def test_array_overflow_raises_as_the_scalar_path_does(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError):
-            cat_state(2, 0).chi_normal(np.array([1.0, 40.0]))
+            cat_state(2, 0).chi_normal(np.array([1.0, 400.0]))
     code = main(["ncregion", "--state", "cat:2,0", "--certificate", "nc1",
-                 "--grid", "39:40:1"])
+                 "--grid", "399:400:1"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "overflow" in captured.err

@@ -257,3 +257,29 @@ def test_sample_outcomes_seeded():
     assert first["plus"] + first["minus"] == 10000
     p_plus, _ = outcome_probabilities(state, s)
     assert abs(first["plus"] / 10000 - p_plus) < 0.02
+
+
+def test_conditional_states_pass_over_their_terms_once(monkeypatch):
+    from catwitness import ramsey, states
+    calls, superposition = [], states._superposition
+
+    def counted(terms, modes):
+        calls.append(modes)
+        return superposition(terms, modes)
+    monkeypatch.setattr(states, "_superposition", counted)
+    monkeypatch.setattr(ramsey, "_superposition", counted)
+    s = RamseySetting(0.3, 0.8 - 0.2j)
+    out, prob = conditional_state(VAC1, s, +1)
+    pair, pair_prob = prepare_conditional(VAC1, 0.7, 0.35, s, (-1, +1))
+    assert calls == [1, 2]
+    # the same state and probability as from the raw Kraus terms
+    raw = ((0.5, 0j), (0.5 * cmath.exp(0.3j), 0.8 - 0.2j))
+    assert out == CoherentSuperposition(raw)
+    assert prob == pytest.approx(outcome_probabilities(VAC1, s)[0], abs=1e-15)
+    assert pair == PairSuperposition(pair.terms)
+    assert 0 < pair_prob < 1
+    # an outcome of probability 0 names it, as before
+    with pytest.raises(ValueError, match=r"^outcome -1 has probability "):
+        conditional_state(VAC1, RamseySetting(0.0, 0j), -1)
+    with pytest.raises(ValueError, match=r"^outcome \(-1, 1\) has prob"):
+        prepare_conditional(VAC1, 0.0, 0.0, RamseySetting(0.0, 0j), (-1, 1))

@@ -28,7 +28,7 @@ from catwitness import (
     state_from_json,
     state_to_json,
 )
-from catwitness import states
+from catwitness import entanglement, states
 from catwitness.states import _laguerre, damped_chi_normal
 
 
@@ -153,6 +153,48 @@ def test_states_has_no_ndarray_dispatch():
         assert "ndarray" not in ast.unparse(node.args[1]), ast.unparse(node)
 
 
+def test_no_broadcast_arrays_in_point_assembly():
+    # chi2 and _gram_words assemble their (..., M) point stacks in one
+    # preallocated array by broadcast assignment
+    for module in (states, entanglement):
+        calls = [ast.unparse(node.func)
+                 for node in ast.walk(ast.parse(inspect.getsource(module)))
+                 if isinstance(node, ast.Call)]
+        assert calls and not [c for c in calls if "broadcast_arrays" in c]
+
+
+def test_chi2_broadcasts_like_per_point_calls():
+    state = entangled_cat(1.2, -1)
+    alphas = np.array([[0.3], [-0.5j], [1.0 + 1.0j]])
+    betas = np.array([0.0, 0.2, -0.7 + 0.1j, 2.0j])
+    got = state.chi2(alphas, betas)
+    assert got.shape == (3, 4)
+    want = [[state.chi2(a, b) for b in betas.tolist()]
+            for a in alphas[:, 0].tolist()]
+    assert np.max(np.abs(got - want)) <= 1e-15
+    row = state.chi2(-0.4 + 0.1j, betas)
+    assert row.shape == (4,)
+    assert np.max(np.abs(row - [state.chi2(-0.4 + 0.1j, b)
+                                for b in betas.tolist()])) <= 1e-15
+    value = state.chi2(-0.4 + 0.1j, 0.2)
+    assert isinstance(value, complex) and np.ndim(value) == 0
+    message = r"^amplitude must be finite, got \(nan\+0j\)$"
+    for beta in (np.array([0.5, np.nan]), math.nan):
+        with pytest.raises(ValueError, match=message):
+            state.chi2(np.zeros(2), beta)
+
+
+def test_coherent_chi_normal_has_unit_modulus():
+    # one coherent term: chi_N(alpha) = e^{alpha x* - alpha* x}, computed
+    # directly, not as e^{|alpha|^2/2} chi, so |chi_N| = 1 up to rounding
+    rng = np.random.default_rng(13)
+    alphas = 40 * rng.uniform(0, 1, 200) * np.exp(2j * np.pi
+                                                  * rng.uniform(0, 1, 200))
+    for x in (0j, 0.2075 + 1.046j, 3 - 4j, 20j):
+        got = CoherentSuperposition(((0.6 + 0.8j, x),)).chi_normal(alphas)
+        assert np.all(np.abs(np.abs(got) - 1) <= 4 * np.finfo(float).eps)
+
+
 def test_chi_normal_stays_finite_where_chi_underflows():
     # at |alpha| = 40, e^{|alpha|^2/2} overflows although chi_N is small
     assert FockState(1).chi_normal(40) == -1599
@@ -162,8 +204,11 @@ def test_chi_normal_stays_finite_where_chi_underflows():
         math.exp(-0.5 * 2.25), abs=1e-15)
     mix = Mixture(((0.25, FockState(1)), (0.75, ThermalState(0.0))))
     assert mix.chi_normal(40) == 0.25 * -1599 + 0.75
+    # a coherent sum's chi_N is computed directly: about e^78 here, while
+    # e^{|alpha|^2/2} = e^800 alone would overflow
+    assert cmath.isfinite(cat_state(2.0, 0.0).chi_normal(40))
     with pytest.raises(OverflowError):
-        cat_state(2.0, 0.0).chi_normal(40)
+        cat_state(2.0, 0.0).chi_normal(400)  # about e^798
 
 def test_coherent_state_chi():
     # single coherent state |xi>: chi(alpha) = e^{-|alpha|^2/2} e^{2i Im(alpha xi*)}
