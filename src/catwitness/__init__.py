@@ -14,9 +14,6 @@ from .states import (
     TwoModeState,
     VACUUM,
     cat_state,
-    chi,
-    chi2,
-    chi_normal,
     coherent_overlap,
     decohere,
     displaced_matrix_element,

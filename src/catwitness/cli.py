@@ -34,7 +34,9 @@ _SCHEMA_HINT = ('state JSON schema: {"kind": "cat"|"fock"|"thermal"|'
                 '"coherent_superposition"|"mixture"|"decohered"|'
                 '"pair_superposition"|"product", ...}, complex numbers as '
                 '[re, im]; shorthands: vac, coh:re[,im], fock:n, thermal:nth, '
-                'cat:xi0,theta, entcat:xi0,+|-')
+                'cat:xi0[,theta]')
+# fewest and most fields of each shorthand kind
+_FIELDS = {"coh": (1, 2), "fock": (1, 1), "thermal": (1, 1), "cat": (1, 2)}
 
 
 def parse_state(text: str):
@@ -47,7 +49,7 @@ def parse_state(text: str):
             raise UsageError(f"bad state JSON: {exc}; {_SCHEMA_HINT}") from exc
     try:
         return _parse_shorthand(text)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad state {text!r}: {exc}; {_SCHEMA_HINT}") from exc
 
 
@@ -56,22 +58,22 @@ def _parse_shorthand(text: str):
         # as a one-term superposition so conditional states stay closed-form
         return states.CoherentSuperposition(((1.0, 0.0),))
     kind, _, rest = text.partition(":")
+    if kind not in _FIELDS:
+        raise ValueError(f"unknown shorthand kind {kind!r}")
     args = rest.split(",") if rest else []
-    if kind == "coh":
-        re = float(args[0])
-        im = float(args[1]) if len(args) > 1 else 0.0
-        return states.CoherentSuperposition(((1.0, complex(re, im)),))
+    low, high = _FIELDS[kind]
+    if not low <= len(args) <= high:
+        count = low if low == high else f"{low} or {high}"
+        raise ValueError(f"{kind} takes {count} field(s), got {len(args)}")
     if kind == "fock":
         return states.FockState(int(args[0]))
+    # an optional second field (coh's im, cat's theta) defaults to 0
+    x, y = [float(a) for a in args] + [0.0] * (2 - len(args))
+    if kind == "coh":
+        return states.CoherentSuperposition(((1.0, complex(x, y)),))
     if kind == "thermal":
-        return states.ThermalState(float(args[0]))
-    if kind == "cat":
-        theta = float(args[1]) if len(args) > 1 else 0.0
-        return states.cat_state(float(args[0]), theta)
-    if kind == "entcat":
-        sign = +1 if (len(args) < 2 or args[1] == "+") else -1
-        return states.entangled_cat(float(args[0]), sign)
-    raise ValueError(f"unknown shorthand kind {kind!r}")
+        return states.ThermalState(x)
+    return states.cat_state(x, y)
 
 
 def parse_grid(text: str) -> nonclassicality.GridSpec:
@@ -179,7 +181,10 @@ def cmd_ncregion(args) -> int:
     state = _single_mode(args)
     scan = nonclassicality.region_scan(state, _grid(args), args.certificate,
                                        args.threshold)
-    _write(args, scan.to_csv())
+    # Python floats and bools format faster than numpy scalars
+    columns = (scan.axis1, scan.axis2, scan.values, scan.detected)
+    _csv(args, "axis1,axis2,value,detected",
+         zip(*(column.tolist() for column in columns)))
     return 0
 
 
@@ -189,7 +194,7 @@ def cmd_decay(args) -> int:
     if alpha is None:
         raise UsageError("decay needs --alpha")
     ts, _ = _grid(args, "gamma_t").cells()
-    values = abs(states.damped_chi_normal(state, alpha, ts, args.nth))
+    values = abs(states.decohere(state, ts, args.nth).chi_normal(alpha))
     if (values[1:] > values[:-1] + 1e-12).any():
         print("warning: |chiN| is not monotone on this grid", file=sys.stderr)
     _csv(args, "gamma_t,absChiN", zip(ts, values))
@@ -221,6 +226,8 @@ def cmd_witness(args) -> int:
 def cmd_ramsey(args) -> int:
     state = _single_mode(args)
     alpha = _one_alpha(args, 0j)
+    if args.seed is not None and not args.shots:
+        raise UsageError("--seed only seeds the --shots sampling")
     setting = ramsey.RamseySetting(args.phi, alpha)
     p_plus, p_minus = ramsey.outcome_probabilities(state, setting)
     result = {
@@ -244,8 +251,9 @@ def cmd_ramsey(args) -> int:
     except TypeError:
         pass  # family not closed under displacement; probabilities suffice
     if args.shots:
-        counts = ramsey.sample_outcomes(state, setting, args.shots, args.seed)
-        result["shots"] = {"n": args.shots, "seed": args.seed, **counts}
+        seed = args.seed or 0
+        counts = ramsey.sample_outcomes(state, setting, args.shots, seed)
+        result["shots"] = {"n": args.shots, "seed": seed, **counts}
     _write(args, json.dumps(result, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -254,11 +262,14 @@ def cmd_prepare(args) -> int:
     psi = parse_state(args.psi)
     if not isinstance(psi, states.CoherentSuperposition):
         raise UsageError("prepare needs a coherent-superposition --psi")
+    if args.theta is not None and args.bell == "psi_minus":
+        raise UsageError("--theta is the phi_plus phase; psi_minus has none")
+    theta = 0.0 if args.theta is None else args.theta
     alpha = complex(args.alpha_re, args.alpha_im)
     setting = ramsey.RamseySetting(args.phi, alpha)
     outcome = OUTCOMES[args.outcome]
-    state, prob = ramsey.prepare_conditional(psi, args.theta, args.phi0,
-                                             setting, outcome, bell=args.bell)
+    state, prob = ramsey.prepare_conditional(psi, theta, args.phi0, setting,
+                                             outcome, bell=args.bell)
     result = {"outcome": args.outcome, "probability": prob,
               "state": states.state_to_json(state)}
     _write(args, json.dumps(result, indent=2, sort_keys=True) + "\n")
@@ -321,14 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", action="append", help="displacement re[/im]")
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--shots", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the --shots sampling")
+    p.add_argument("--seed", type=int,
+                   help="seed of the --shots sampling (default 0)")
 
     p = sub.add_parser("prepare", help="two-mode conditional preparation")
     common(p, state=False, grid=False)
     p.add_argument("--psi", required=True, help="initial single-mode state")
-    p.add_argument("--theta", type=float, default=0.0,
-                   help="Bell-state phase Theta")
+    p.add_argument("--theta", type=float,
+                   help="phase Theta of the phi_plus Bell state (default 0)")
     p.add_argument("--phi0", type=float, default=0.0)
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--alpha-re", type=float, required=True)

@@ -155,13 +155,6 @@ class RegionScan:
     values: np.ndarray
     detected: np.ndarray
 
-    def to_csv(self) -> str:
-        lines = ["axis1,axis2,value,detected"]
-        for a1, a2, v, d in zip(self.axis1, self.axis2, self.values,
-                                self.detected):
-            lines.append(f"{a1:.17g},{a2:.17g},{v:.17g},{int(d)}")
-        return "\n".join(lines) + "\n"
-
 
 def region_scan(state: SingleModeState, grid: GridSpec, certificate: str,
                 threshold: float | None = None) -> RegionScan:

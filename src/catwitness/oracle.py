@@ -307,11 +307,6 @@ def oracle_chi(state: SingleModeState, alpha: complex,
     return _converge(at_dim, initial_dim(state, alpha), tol)
 
 
-def oracle_chi_normal(state: SingleModeState, alpha: complex,
-                      tol: float = CONVERGENCE_TOL) -> complex:
-    return math.exp(abs(complex(alpha)) ** 2 / 2.0) * oracle_chi(state, alpha, tol)
-
-
 def _chi2_structured(state, d1, d2, dim) -> complex:
     """tr{D(alpha) x D(beta) rho} at fixed per-mode cutoff from d1 = D(alpha)
     and d2 = D(beta), per pure/product component, so the dim^2 x dim^2

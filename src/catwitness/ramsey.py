@@ -110,11 +110,27 @@ def _displaced(terms, alpha: complex):
             for c, xi in terms]
 
 
-def _kraus_terms(terms, sign: int, phi: float, alpha: complex):
-    """Unnormalized coherent-superposition image under E_sign(phi, alpha)."""
-    phase = 0.5 * sign * cmath.exp(1j * phi)
-    return ([(0.5 * c, xi) for c, xi in terms]
-            + [(phase * c, xi) for c, xi in _displaced(terms, alpha)])
+def _kraus(phi: float, phi0: float):
+    """Mode operators <f|U_R|i> as (u, v) pairs meaning u*1 + v*D(alpha).
+
+    Indexed [final][initial] with 0 = ground, 1 = excited, so that [0][0]
+    is E_- and [1][0] is E_+. phi is the total phase of the Kraus
+    operators; phi0 the first-pulse phase.
+    """
+    e_phi = cmath.exp(1j * phi)
+    back = -cmath.exp(-1j * phi0)
+    return (((0.5, -0.5 * e_phi), (0.5 * back, 0.5 * back * e_phi)),
+            ((0.5, +0.5 * e_phi), (0.5 * back, -0.5 * back * e_phi)))
+
+
+def _branch(cls, raw, outcome):
+    """The normalized cls superposition of the raw terms of one outcome
+    branch, and the branch probability, its squared norm."""
+    modes = 1 if cls is CoherentSuperposition else 2
+    arrays, prob = _superposition(raw, modes)
+    if prob <= ZERO_PROB:
+        raise ValueError(f"outcome {outcome} has probability {prob:g}")
+    return _from_arrays(cls, arrays, prob), prob
 
 
 def conditional_state(state: SingleModeState, s: RamseySetting,
@@ -127,11 +143,10 @@ def conditional_state(state: SingleModeState, s: RamseySetting,
     if outcome not in (+1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     if isinstance(state, CoherentSuperposition):
-        raw = _kraus_terms(state.terms, outcome, s.phi, s.alpha)
-        arrays, prob = _superposition(raw, 1)
-        if prob <= ZERO_PROB:
-            raise ValueError(f"outcome {outcome:+d} has probability {prob:g}")
-        return _from_arrays(CoherentSuperposition, arrays, prob), prob
+        u, v = _kraus(s.phi, 0.0)[(outcome + 1) // 2][0]
+        raw = ([(u * c, xi) for c, xi in state.terms]
+               + [(v * c, xi) for c, xi in _displaced(state.terms, s.alpha)])
+        return _branch(CoherentSuperposition, raw, f"{outcome:+d}")
     if isinstance(state, Mixture):
         parts = []
         total = 0.0
@@ -180,22 +195,6 @@ def chi2_from_correlations(state: TwoModeState, alpha: complex,
 # Two-mode conditional preparation
 # ---------------------------------------------------------------------------
 
-def _single_qubit_kraus(phi: float, phi0: float):
-    """Mode operators <f|U_R|i> as (u, v) pairs meaning u*1 + v*D(alpha).
-
-    Indexed [final][initial] with 0 = ground, 1 = excited. phi is the total
-    phase of the Kraus operators; phi0 the first-pulse phase.
-    """
-    e_phi = cmath.exp(1j * phi)
-    back = -cmath.exp(-1j * phi0)
-    return {
-        (0, 0): (0.5, -0.5 * e_phi),            # E_-
-        (1, 0): (0.5, +0.5 * e_phi),            # E_+
-        (0, 1): (0.5 * back, 0.5 * back * e_phi),
-        (1, 1): (0.5 * back, -0.5 * back * e_phi),
-    }
-
-
 def prepare_conditional(psi: CoherentSuperposition, Theta: float, phi0: float,
                         s: RamseySetting, outcome: tuple[int, int],
                         bell: str = "phi_plus") -> tuple[PairSuperposition, float]:
@@ -221,29 +220,19 @@ def prepare_conditional(psi: CoherentSuperposition, Theta: float, phi0: float,
     else:
         raise ValueError(f"unknown bell variant {bell!r}")
 
-    kraus = _single_qubit_kraus(s.phi, phi0)
-    f1 = 0 if outcome[0] == -1 else 1
-    f2 = 0 if outcome[1] == -1 else 1
+    kraus = _kraus(s.phi, phi0)
+    k1, k2 = (kraus[(f + 1) // 2] for f in outcome)
     # branch operator sum over qubit basis components, expanded in the
     # four displacement patterns (d1, d2) with d = 0 or 1 copies of D(alpha)
-    coeffs = {(0, 0): 0j, (0, 1): 0j, (1, 0): 0j, (1, 1): 0j}
-    for (i1, i2), amp in qubit.items():
-        u1, v1 = kraus[(f1, i1)]
-        u2, v2 = kraus[(f2, i2)]
-        coeffs[(0, 0)] += amp * u1 * u2
-        coeffs[(0, 1)] += amp * u1 * v2
-        coeffs[(1, 0)] += amp * v1 * u2
-        coeffs[(1, 1)] += amp * v1 * v2
+    coeffs = {(d1, d2): sum(amp * k1[i1][d1] * k2[i2][d2]
+                            for (i1, i2), amp in qubit.items())
+              for d1 in (0, 1) for d2 in (0, 1)}
 
     # per mode, the terms of psi under d = 0 or 1 copies of D(alpha)
     per_mode = (psi.terms, _displaced(psi.terms, s.alpha))
     raw = [(c * c_k * c_m, a1, a2) for (d1, d2), c in coeffs.items() if c != 0
            for c_k, a1 in per_mode[d1] for c_m, a2 in per_mode[d2]]
-
-    arrays, prob = _superposition(raw, 2)
-    if prob <= ZERO_PROB:
-        raise ValueError(f"outcome {outcome} has probability {prob:g}")
-    return _from_arrays(PairSuperposition, arrays, prob), prob
+    return _branch(PairSuperposition, raw, outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ def test_parse_state_shorthands():
     assert parse_state("fock:2") == states.FockState(2)
     assert parse_state("thermal:1.5") == states.ThermalState(1.5)
     assert parse_state("cat:2,0") == cat_state(2.0, 0.0)
-    assert parse_state("entcat:1,-") == entangled_cat(1.0, -1)
     vac = parse_state("vac")
     assert isinstance(vac, states.CoherentSuperposition)
     coh = parse_state("coh:0.5,-0.25")
@@ -190,6 +189,9 @@ def test_chi_grid(capsys):
     ("decay", "--state", "cat:2,0", "--alpha", "2", "--alpha", "5",
      "--grid", "0:0.2:0.1"),
     ("ramsey", "--state", "cat:2,0", "--alpha", "1", "--alpha", "2"),
+    ("ramsey", "--state", "cat:2,0", "--alpha", "1", "--seed", "3"),
+    ("prepare", "--psi", "cat:1,0", "--alpha-re", "1", "--outcome", "gg",
+     "--bell", "psi_minus", "--theta", "0.3"),
 ])
 def test_options_without_effect_are_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -203,8 +205,17 @@ def test_chi_usage_errors(capsys):
     code, _, err = run(capsys, "chi", "--state", "vac")
     assert code == 2
     assert "error" in err
-    code, _, err = run(capsys, "chi", "--state", "entcat:1,+", "--alpha", "1")
-    assert code == 2
+    pair = json.dumps(states.state_to_json(entangled_cat(1.0, +1)))
+    code, out, err = run(capsys, "chi", "--state", pair, "--alpha", "1")
+    assert (code, out) == (2, "")
+    assert "chi needs a single-mode state" in err
+    for text, message in (("coh:1,2,3", "coh takes 1 or 2 field(s), got 3"),
+                          ("fock:1,2", "fock takes 1 field(s), got 2"),
+                          ("cat:1,0,5", "cat takes 1 or 2 field(s), got 3"),
+                          ("thermal:", "thermal takes 1 field(s), got 0")):
+        code, out, err = run(capsys, "chi", "--state", text, "--alpha", "0.5")
+        assert (code, out) == (2, "")
+        assert message in err
     code, out, err = run(capsys, "chi", "--state", "vac",
                          "--grid", "0:inf:0.1")
     assert (code, out) == (2, "")
@@ -277,6 +288,10 @@ def test_ramsey_json(capsys):
     code, out2, _ = run(capsys, "ramsey", "--state", "vac", "--alpha", "2",
                         "--phi", "0", "--verify", "--shots", "100", "--seed", "7")
     assert out2 == out
+    # --shots alone samples with seed 0
+    outs = [run(capsys, "ramsey", "--state", "vac", "--alpha", "2",
+                "--shots", "100", *seed)[1] for seed in ((), ("--seed", "0"))]
+    assert outs[0] == outs[1] and json.loads(outs[0])["shots"]["seed"] == 0
 
 
 def test_ramsey_open_family_omits_conditionals(capsys):
@@ -295,6 +310,13 @@ def test_prepare_json(capsys):
     assert result["probability"] == pytest.approx((1 + math.exp(-1.0)) / 4,
                                                   abs=1e-12)
     assert result["state"]["kind"] == "pair_superposition"
+    # Theta defaults to 0; psi_minus, which has no Theta, runs without it
+    code, out2, _ = run(capsys, "prepare", "--psi", "vac", "--alpha-re", "1",
+                        "--outcome", "gg", "--theta", "0")
+    assert (code, out2) == (0, out)
+    code, out, _ = run(capsys, "prepare", "--psi", "vac", "--alpha-re", "1",
+                       "--outcome", "ge", "--bell", "psi_minus")
+    assert code == 0 and json.loads(out)["probability"] > 0
 
 
 def test_prepare_bad_outcome(capsys):

@@ -18,6 +18,7 @@ from catwitness import (
     nc2_certificate,
     region_scan,
 )
+from catwitness import cli
 
 
 def one_photon_mixture(p):
@@ -171,16 +172,20 @@ def test_region_scan_thermal_detects_nothing():
         assert not scan.detected.any()
 
 
-def test_region_scan_csv_format():
+def test_region_scan_csv_format(capsys):
     scan = region_scan(cat_state(1.0, 0.0), GridSpec(((0.0, 0.5, 0.5),)), "nc1")
-    lines = scan.to_csv().strip().split("\n")
+    assert cli.main(["ncregion", "--state", "cat:1,0", "--grid", "0:0.5:0.5",
+                     "--certificate", "nc1"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "axis1,axis2,value,detected"
     assert len(lines) == 1 + 2
-    cols = lines[1].split(",")
-    assert len(cols) == 4
-    assert cols[3] in ("0", "1")
-    # round-trip at full precision
-    assert float(cols[2]) == scan.values[0]
+    for line, a1, a2, v, d in zip(lines[1:], scan.axis1, scan.axis2,
+                                  scan.values, scan.detected):
+        # %.17g cells, so each round-trips at full precision
+        assert line == f"{a1:.17g},{a2:.17g},{v:.17g},{int(d)}"
+        assert float(line.split(",")[2]) == v
+    # detection flags print as 0 and 1
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["0", "1"]
 
 
 def test_region_scan_warns_once_per_scan():

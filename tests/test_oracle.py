@@ -28,7 +28,6 @@ from catwitness.oracle import (
     laguerre,
     oracle_chi,
     oracle_chi2,
-    oracle_chi_normal,
     state_to_matrix,
 )
 from catwitness.ramsey import RamseySetting, prepare_conditional
@@ -154,9 +153,10 @@ def test_oracle_chi_matches_closed_forms():
 
 
 def test_oracle_chi_normal_scaling():
+    # chi_N is e^{|alpha|^2/2} times the oracle's chi
     state = cat_state(1.0, 0.0)
     a = 1.2
-    assert oracle_chi_normal(state, a) == pytest.approx(
+    assert state.chi_normal(a) == pytest.approx(
         math.exp(abs(a) ** 2 / 2) * oracle_chi(state, a), abs=1e-12)
 
 
