@@ -101,8 +101,10 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
-def _csv(args, header: str, rows):
-    """Write a header line and one line per row, each cell as %.17g."""
+def _csv(args, header: str, *columns):
+    """Write a header line and one line per row of the columns, each cell
+    as %.17g from a Python float, which formats faster than a numpy one."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
     lines = [header] + [",".join(f"{c:.17g}" for c in row) for row in rows]
     _write(args, "\n".join(lines) + "\n")
 
@@ -157,23 +159,21 @@ def _one_alpha(args, default=None):
 def cmd_chi(args) -> int:
     state = _single_mode(args)
     alphas = _alpha_list(args)
-
-    def row(alpha, c, cn):
-        cells = [alpha.real, alpha.imag, c.real, c.imag, cn.real, cn.imag]
-        if args.verify:
-            delta = abs(c - oracle.oracle_chi(state, alpha))
-            cells.append(delta)
-            if delta > VERIFY_TOL:
-                raise ConsistencyError(
-                    f"oracle discrepancy {delta:g} at alpha={alpha}")
-        return cells
-
+    points = np.array(alphas, dtype=complex)
+    chi, chi_n = state.chi(points), state.chi_normal(points)
     header = "alpha_re,alpha_im,chi_re,chi_im,chiN_re,chiN_im"
+    columns = [points.real, points.imag, chi.real, chi.imag,
+               chi_n.real, chi_n.imag]
     if args.verify:
         header += ",oracle_delta"
-    points = np.array(alphas, dtype=complex)
-    _csv(args, header, map(row, alphas, state.chi(points).tolist(),
-                           state.chi_normal(points).tolist()))
+        deltas = []
+        for alpha, c in zip(alphas, chi.tolist()):
+            deltas.append(abs(c - oracle.oracle_chi(state, alpha)))
+            if deltas[-1] > VERIFY_TOL:
+                raise ConsistencyError(
+                    f"oracle discrepancy {deltas[-1]:g} at alpha={alpha}")
+        columns.append(deltas)
+    _csv(args, header, *columns)
     return 0
 
 
@@ -181,10 +181,8 @@ def cmd_ncregion(args) -> int:
     state = _single_mode(args)
     scan = nonclassicality.region_scan(state, _grid(args), args.certificate,
                                        args.threshold)
-    # Python floats and bools format faster than numpy scalars
-    columns = (scan.axis1, scan.axis2, scan.values, scan.detected)
-    _csv(args, "axis1,axis2,value,detected",
-         zip(*(column.tolist() for column in columns)))
+    _csv(args, "axis1,axis2,value,detected", scan.axis1, scan.axis2,
+         scan.values, scan.detected)
     return 0
 
 
@@ -197,7 +195,7 @@ def cmd_decay(args) -> int:
     values = abs(states.decohere(state, ts, args.nth).chi_normal(alpha))
     if (values[1:] > values[:-1] + 1e-12).any():
         print("warning: |chiN| is not monotone on this grid", file=sys.stderr)
-    _csv(args, "gamma_t,absChiN", zip(ts, values))
+    _csv(args, "gamma_t,absChiN", ts, values)
     return 0
 
 
@@ -208,7 +206,7 @@ def cmd_ptmin(args) -> int:
     low = [entanglement.ppt_min_eig(_pair(args, x),
                                     entanglement.standard_settings(x, eps))
            for x in grid.axis_values(0)]
-    _csv(args, "xi0,eps,lambda_min", zip(*grid.cells(), np.concatenate(low)))
+    _csv(args, "xi0,eps,lambda_min", *grid.cells(), np.concatenate(low))
     return 0
 
 
@@ -219,7 +217,7 @@ def cmd_witness(args) -> int:
         wd = entanglement.paper_witness(xi0, args.eps, args.w)
         return entanglement.witness_expectation(_pair(args, xi0), wd)
 
-    _csv(args, "xi0,expectation", [(x, cell(x)) for x in xs])
+    _csv(args, "xi0,expectation", xs, [cell(x) for x in xs])
     return 0
 
 

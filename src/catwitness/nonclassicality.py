@@ -171,6 +171,8 @@ def region_scan(state: SingleModeState, grid: GridSpec, certificate: str,
         raise ValueError(f"unknown certificate {certificate!r}")
     if threshold is None:
         threshold = 0.0 if certificate == "nc1" else -0.01
+    elif not math.isfinite(threshold):  # NaN would detect no cell
+        raise ValueError(f"threshold must be finite, got {threshold}")
     axis1, axis2 = grid.cells()
     if certificate == "nc1":
         values = nc1_excess(state, axis1 + 1j * axis2)

@@ -4,10 +4,10 @@ Single- and two-mode states are immutable descriptors that expose the
 symmetric-ordered characteristic function chi(alpha) = <D(alpha)> and its
 normally-ordered variant chi_N(alpha) = exp(|alpha|^2/2) chi(alpha).
 Density matrices never appear here; the brute-force Fock-space path lives
-in :mod:`catwitness.oracle`. chi, chi_normal and chi2 run one array code
-path per family: an ndarray gives an array of the broadcast shape, one
-value per point, and a complex scalar gives a complex scalar (a numpy
-complex128, which is an instance of complex).
+in :mod:`catwitness.oracle`. Each family implements one s-ordered hook,
+_ordered, under the chi, chi_normal and chi2 of the base classes: an ndarray
+gives an array of the broadcast shape, one value per point, and a complex
+scalar gives a complex scalar (a numpy complex128, an instance of complex).
 
 All states are kept in the frame rotating at the mechanical frequency, so
 free evolution is already factored out of every formula.
@@ -119,10 +119,10 @@ def _superposition(terms, modes: int):
     return (c, xct, g), (c @ np.exp(g) @ c.conj()).real
 
 
-def _coherent_sum(arrays, a, normal: bool = False):
+def _coherent_sum(arrays, a, s):
     """sum_{k,l} c_k c_l* prod_m <x_l^m| D(a_m) |x_k^m> at each point of
-    a (..., M), over the term arrays (c, x*^T, g) of _superposition; with
-    normal, times e^{|a|^2/2}, which gives chi_N.
+    a (..., M), over the term arrays (c, x*^T, g) of _superposition, times
+    e^{s|a|^2/2}: the s-ordered function, chi at s = 0 and chi_N at s = 1.
 
     By D(a)|x> = e^{i Im(a x*)} |x + a>, each term pair is e to the power
     g_kl + a.x_l* - (a.x_k*)* - |a|^2/2, kept combined as its parts alone
@@ -133,10 +133,10 @@ def _coherent_sum(arrays, a, normal: bool = False):
     p = a @ xct  # (P, K)
     expo = p[:, None, :] - p.conj()[:, :, None]
     expo += g
-    if not normal:
-        expo.real -= 0.5 * (abs(a) ** 2).sum(-1)[:, None, None]
+    if s != 1:
+        expo.real -= (1 - s) / 2 * (abs(a) ** 2).sum(-1)[:, None, None]
     e = _exp(expo, out=expo).reshape(-1, len(c))
-    return ((e @ c.conj()).reshape(-1, len(c)) @ c).reshape(shape)[()]
+    return ((e @ c.conj()).reshape(-1, len(c)) @ c).reshape(shape)
 
 
 def _normalize(state, arrays, norm_sq):
@@ -157,23 +157,28 @@ def _from_arrays(cls, arrays, norm_sq):
 
 
 class SingleModeState:
-    """Base class for single-mode state descriptors."""
+    """Base class for single-mode state descriptors. A family implements
+    _ordered(a, s), Cahill and Glauber's s-ordered e^{s|a|^2/2} chi(a), on
+    points already checked here, with the Gaussian folded into its own
+    exponent so that chi_N (s = 1) stays finite where e^{|a|^2/2} is not."""
 
     def chi(self, alpha: complex) -> complex:
         """Symmetric-ordered characteristic function tr{D(alpha) rho}."""
-        raise NotImplementedError
+        return _complex(self._ordered(_check_points(alpha), 0))
 
     def chi_normal(self, alpha: complex) -> complex:
         """Normally-ordered characteristic function e^{|alpha|^2/2} chi(alpha)."""
-        raise NotImplementedError
+        return _complex(self._ordered(_check_points(alpha), 1))
 
 
 class TwoModeState:
-    """Base class for two-mode state descriptors."""
+    """Base class for two-mode state descriptors; _ordered takes a (..., 2)."""
 
     def chi2(self, alpha: complex, beta: complex) -> complex:
         """Two-mode characteristic function tr{D(alpha) x D(beta) rho}."""
-        raise NotImplementedError
+        a = np.empty(np.broadcast(alpha, beta).shape + (2,), dtype=complex)
+        a[..., 0], a[..., 1] = alpha, beta
+        return _complex(self._ordered(_check_points(a), 0))
 
 
 @dataclass(frozen=True)
@@ -185,12 +190,8 @@ class CoherentSuperposition(SingleModeState):
     def __post_init__(self):
         _normalize(self, *_superposition(self.terms, 1))
 
-    def chi(self, alpha: complex) -> complex:
-        return _coherent_sum(self._arrays, _check_points(alpha)[..., None])
-
-    def chi_normal(self, alpha: complex) -> complex:
-        return _coherent_sum(self._arrays, _check_points(alpha)[..., None],
-                             normal=True)
+    def _ordered(self, a, s):
+        return _coherent_sum(self._arrays, a[..., None], s)
 
 
 @dataclass(frozen=True)
@@ -203,12 +204,11 @@ class FockState(SingleModeState):
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError(f"Fock index must be a non-negative integer, got {self.n}")
 
-    def chi(self, alpha: complex) -> complex:
-        x = abs(_check_points(alpha)) ** 2
-        return _complex(_exp(-x / 2.0) * _laguerre(self.n, x))
-
-    def chi_normal(self, alpha: complex) -> complex:
-        return _complex(_laguerre(self.n, abs(_check_points(alpha)) ** 2))
+    def _ordered(self, a, s):
+        x = abs(a) ** 2
+        p = _laguerre(self.n, x)
+        # chi_N has no Gaussian, whose exponent 0 * x would be NaN at x = inf
+        return p if s == 1 else p * _exp(-(1 - s) * x / 2.0)
 
 
 @dataclass(frozen=True)
@@ -221,12 +221,8 @@ class ThermalState(SingleModeState):
     def __post_init__(self):
         _check_rate(self.n_th, "n_th")
 
-    def chi(self, alpha: complex) -> complex:
-        x = abs(_check_points(alpha)) ** 2
-        return _complex(_exp(-(2 * self.n_th + 1) * x / 2.0))
-
-    def chi_normal(self, alpha: complex) -> complex:
-        return _complex(_exp(-self.n_th * abs(_check_points(alpha)) ** 2))
+    def _ordered(self, a, s):
+        return _exp(-(self.n_th + (1 - s) / 2) * abs(a) ** 2)
 
 
 @dataclass(frozen=True)
@@ -238,18 +234,15 @@ class Mixture(SingleModeState):
     def __post_init__(self):
         _check_weights(self.components)
 
-    def chi(self, alpha: complex) -> complex:
-        return sum(w * s.chi(alpha) for w, s in self.components)
-
-    def chi_normal(self, alpha: complex) -> complex:
-        return sum(w * s.chi_normal(alpha) for w, s in self.components)
+    def _ordered(self, a, s):
+        return sum(w * c._ordered(a, s) for w, c in self.components)
 
 
 def _check_weights(components):
     if not components:
         raise ValueError("mixture needs at least one component")
     weights = [w for w, _ in components]
-    if any(w < 0 for w in weights):
+    if not all(w >= 0 for w in weights):  # NaN fails too
         raise ValueError("mixture weights must be non-negative")
     if abs(sum(weights) - 1.0) > WEIGHT_TOL:
         raise ValueError(f"mixture weights sum to {sum(weights)!r}, expected 1")
@@ -259,15 +252,14 @@ def _check_weights(components):
 class Decohered(SingleModeState):
     """State after time gamma_t of damping into a bath with occupation n_th.
 
-    chi(alpha, t) = exp(-(n_th + 1/2) (1 - e^{-gamma t}) |alpha|^2)
-                    * chi(alpha e^{-gamma t / 2})
-    evaluated on the wrapped state's chi, so one Gaussian factor carries
-    both the bath and the symmetric ordering and stays finite where
-    chi_N's e^{|alpha|^2/2} would overflow; chi_N is the same map on the
-    wrapped chi_N, with n_th in place of n_th + 1/2.
+    chi(alpha; s, t) = exp(-(n_th + (1 - s)/2) (1 - e^{-gamma t}) |alpha|^2)
+                       * chi(alpha e^{-gamma t / 2}; s)
+    on the wrapped state's s-ordered function, so one Gaussian factor
+    carries both the bath and the ordering and stays finite where chi_N's
+    e^{|alpha|^2/2} would overflow.
 
     gamma_t may also be an array of times: chi and chi_N then give one
-    value per time, from one call of the wrapped state's chi or chi_N.
+    value per time, from one evaluation of the wrapped state.
     """
 
     inner: SingleModeState
@@ -278,11 +270,12 @@ class Decohered(SingleModeState):
         _check_rate(self.gamma_t, "gamma_t")
         _check_rate(self.n_th, "n_th")
 
-    def chi(self, alpha: complex) -> complex:
-        return _damp(self.inner.chi, alpha, self.gamma_t, self.n_th + 0.5)
-
-    def chi_normal(self, alpha: complex) -> complex:
-        return _damp(self.inner.chi_normal, alpha, self.gamma_t, self.n_th)
+    def _ordered(self, a, s):
+        loss, shrink = -np.expm1(-self.gamma_t), np.exp(-self.gamma_t / 2.0)
+        g = _exp(-(self.n_th + (1 - s) / 2) * loss * abs(a) ** 2)
+        # a 0-d a times shrink is a numpy scalar, whose abs rounds unlike
+        # the array loop's; the wrapped state gets an array, as from chi
+        return g * self.inner._ordered(np.asarray(a * shrink), s)
 
 
 def _check_rate(value, name: str):
@@ -294,15 +287,6 @@ def _check_rate(value, name: str):
         raise ValueError(f"{name} must be >= 0, got {float(value[bad][0])}")
 
 
-def _damp(fn, alpha, gamma_t, n):
-    """Decohered's channel map on the characteristic function fn of the
-    initial state, with n = n_th + 1/2 for chi and n = n_th for chi_N;
-    gamma_t is a float or an array of times, all served by one fn call."""
-    alpha = _check_points(alpha)
-    loss, shrink = -np.expm1(-gamma_t), np.exp(-gamma_t / 2.0)
-    return _exp(-n * loss * abs(alpha) ** 2) * fn(alpha * shrink)
-
-
 @dataclass(frozen=True)
 class PairSuperposition(TwoModeState):
     """Pure two-mode superposition sum_k c_k |xi_k, zeta_k>, renormalized."""
@@ -312,10 +296,8 @@ class PairSuperposition(TwoModeState):
     def __post_init__(self):
         _normalize(self, *_superposition(self.terms, 2))
 
-    def chi2(self, alpha: complex, beta: complex) -> complex:
-        a = np.empty(np.broadcast(alpha, beta).shape + (2,), dtype=complex)
-        a[..., 0], a[..., 1] = alpha, beta
-        return _coherent_sum(self._arrays, _check_points(a))
+    def _ordered(self, a, s):
+        return _coherent_sum(self._arrays, a, s)
 
 
 @dataclass(frozen=True)
@@ -325,8 +307,8 @@ class ProductState(TwoModeState):
     left: SingleModeState
     right: SingleModeState
 
-    def chi2(self, alpha: complex, beta: complex) -> complex:
-        return self.left.chi(alpha) * self.right.chi(beta)
+    def _ordered(self, a, s):
+        return self.left._ordered(a[..., 0], s) * self.right._ordered(a[..., 1], s)
 
 
 @dataclass(frozen=True)
@@ -338,8 +320,8 @@ class TwoModeMixture(TwoModeState):
     def __post_init__(self):
         _check_weights(self.components)
 
-    def chi2(self, alpha: complex, beta: complex) -> complex:
-        return sum(w * s.chi2(alpha, beta) for w, s in self.components)
+    def _ordered(self, a, s):
+        return sum(w * c._ordered(a, s) for w, c in self.components)
 
 
 VACUUM = FockState(0)

@@ -173,6 +173,23 @@ def test_chi_verify_large_cutoffs(capsys, monkeypatch):
     assert f"MAX_DIM={oracle.MAX_DIM}" in err
 
 
+def test_chi_verify_stops_at_the_first_discrepancy(capsys, monkeypatch):
+    # the oracle runs point by point up to the first offending one, and
+    # nothing is written
+    calls = []
+
+    def off_at_second(state, alpha):
+        calls.append(alpha)
+        return state.chi(alpha) + (1e-6 if len(calls) == 2 else 0.0)
+
+    monkeypatch.setattr(oracle, "oracle_chi", off_at_second)
+    code, out, err = run(capsys, "chi", "--state", "fock:1", "--verify",
+                         "--alpha", "0.5", "--alpha", "1/1", "--alpha", "2")
+    assert (code, out) == (3, "")
+    assert calls == [0.5, 1 + 1j]
+    assert "oracle discrepancy 1e-06 at alpha=(1+1j)" in err
+
+
 def test_chi_grid(capsys):
     code, out, _ = run(capsys, "chi", "--state", "vac",
                        "--grid", "0:1:0.5,0:0.5:0.5")
@@ -229,6 +246,23 @@ def test_chi_usage_errors(capsys):
                          '{"kind":"thermal","n_th":"1.5"}', "--alpha", "1")
     assert (code, out) == (2, "")
     assert "'n_th' must be a JSON number" in err
+
+
+def test_nan_mixture_weight_exits_2(capsys):
+    state = ('{"kind":"mixture","components":[{"weight":NaN,'
+             '"state":{"kind":"fock","n":0}}]}')
+    code, out, err = run(capsys, "chi", "--state", state, "--alpha", "0.5")
+    assert (code, out) == (2, "")
+    assert "mixture weights must be non-negative" in err
+
+
+def test_ncregion_non_finite_threshold_exits_2(capsys):
+    for threshold in ("nan", "inf"):
+        code, out, err = run(capsys, "ncregion", "--state", "cat:2,0",
+                             "--grid", "0:1:0.5", "--certificate", "nc1",
+                             "--threshold", threshold)
+        assert (code, out) == (2, "")
+        assert f"threshold must be finite, got {threshold}" in err
 
 
 def test_ncregion_csv(capsys):

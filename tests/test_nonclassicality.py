@@ -207,6 +207,15 @@ def test_region_scan_rejects_unknown_certificate():
         region_scan(VACUUM, GridSpec(((0.0, 1.0, 0.5),)), "nc3")
 
 
+def test_region_scan_rejects_non_finite_threshold():
+    # a NaN threshold would mark every cell undetected
+    grid = GridSpec(((0.0, 1.0, 0.5),))
+    for threshold in (math.nan, math.inf, -math.inf):
+        for cert in ("nc1", "nc2-det", "nc2-eig"):
+            with pytest.raises(ValueError, match="threshold must be finite"):
+                region_scan(cat_state(2.0, 0.0), grid, cert, threshold)
+
+
 def test_nc1_decoheres_monotonically():
     state = cat_state(2.0, 0.0)
     values = [abs(decohere(state, t, 0.0).chi_normal(2.0))

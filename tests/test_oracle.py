@@ -335,7 +335,7 @@ def test_state_to_matrix_is_single_mode_only(state):
 def test_oracle_takes_only_classes_from_the_closed_forms():
     # the oracle may test a state's type but never evaluate a closed form:
     # whatever it imports from catwitness.states is a class, the module
-    # itself is not imported, and no chi method is called
+    # itself is not imported, and no chi method or s-ordered hook is called
     taken = []
     for node in ast.walk(ast.parse(inspect.getsource(oracle))):
         if isinstance(node, ast.ImportFrom):
@@ -347,7 +347,7 @@ def test_oracle_takes_only_classes_from_the_closed_forms():
         elif isinstance(node, ast.Import):
             assert not any(alias.name.endswith("states") for alias in node.names)
         elif isinstance(node, ast.Attribute):
-            assert node.attr not in ("chi", "chi_normal", "chi2")
+            assert node.attr not in ("chi", "chi_normal", "chi2", "_ordered")
     assert "CoherentSuperposition" in taken
     for name in taken:
         assert inspect.isclass(getattr(states, name)), name

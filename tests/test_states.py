@@ -180,6 +180,46 @@ def test_no_method_forwarding_functions():
     assert found == ["states.chi"]
 
 
+def test_one_ordered_hook_per_family():
+    # chi, chi_normal and chi2 are defined once, on the two base classes;
+    # each family implements only the s-ordered hook they call
+    bases = (states.SingleModeState, states.TwoModeState)
+    families = [cls for cls in vars(states).values() if inspect.isclass(cls)
+                and issubclass(cls, bases) and cls not in bases]
+    assert len(families) == 8
+    for cls in families:
+        assert "_ordered" in vars(cls), cls.__name__
+        assert not {"chi", "chi_normal", "chi2"} & set(vars(cls)), cls.__name__
+
+
+def test_points_are_checked_once_per_call(monkeypatch):
+    # however deep the nesting, a public call checks its points once
+    calls = []
+    check = states._check_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(states, "_check_points", counted)
+    mix = Mixture(((0.2, FockState(1)), (0.3, ThermalState(0.4)),
+                   (0.5, cat_state(1.0, 0.3))))
+    points = np.array([0.3, 1.0 - 0.5j])
+    for state in (mix, decohere(mix, 0.3, 0.2)):
+        for method in (state.chi, state.chi_normal):
+            for alpha in (0.4 + 0.1j, points):
+                calls.clear()
+                method(alpha)
+                assert len(calls) == 1, (state, method.__name__)
+    pair_mix = TwoModeMixture(((0.5, entangled_cat(1.0, +1)),
+                               (0.5, ProductState(VACUUM, ThermalState(0.3)))))
+    for state in (ProductState(cat_state(1.0, 0.0), FockState(2)), pair_mix):
+        for beta in (-0.2j, points):
+            calls.clear()
+            state.chi2(0.3, beta)
+            assert len(calls) == 1, state
+
+
 def test_no_broadcast_arrays_in_point_assembly():
     # chi2 and _gram_words assemble their (..., M) point stacks in one
     # preallocated array by broadcast assignment
@@ -227,6 +267,8 @@ def test_chi_normal_stays_finite_where_chi_underflows():
     assert FockState(1).chi_normal(40) == -1599
     assert FockState(2).chi_normal(40j) == 1 - 2 * 1600 + 1600 ** 2 / 2
     assert ThermalState(0.0).chi_normal(40) == 1
+    with np.errstate(over="ignore"):  # |alpha|^2 overflows to inf
+        assert VACUUM.chi_normal(1e200) == 1
     assert ThermalState(0.5).chi_normal(1.5) == pytest.approx(
         math.exp(-0.5 * 2.25), abs=1e-15)
     mix = Mixture(((0.25, FockState(1)), (0.75, ThermalState(0.0))))
@@ -273,6 +315,17 @@ def test_mixture_weight_validation():
         Mixture(((-0.1, VACUUM), (1.1, FockState(1))))
     with pytest.raises(ValueError):
         Mixture(())
+
+
+def test_nan_mixture_weights_are_rejected():
+    # NaN fails both w < 0 and the sum check, so only w >= 0 catches it
+    message = "mixture weights must be non-negative"
+    pair = entangled_cat(1.0, +1)
+    for weights in ((math.nan,), (math.nan, 1.0), (0.5, math.nan, 0.5)):
+        with pytest.raises(ValueError, match=message):
+            Mixture(tuple((w, VACUUM) for w in weights))
+        with pytest.raises(ValueError, match=message):
+            TwoModeMixture(tuple((w, pair) for w in weights))
 
 
 def test_thermal_state_has_classical_envelope():
