@@ -14,9 +14,7 @@ from .states import (
     TwoModeState,
     VACUUM,
     cat_state,
-    coherent_overlap,
     decohere,
-    displaced_matrix_element,
     entangled_cat,
     state_from_json,
     state_to_json,

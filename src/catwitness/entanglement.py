@@ -134,7 +134,6 @@ class WitnessDescriptor:
     expectation is real on every two-mode state."""
 
     terms: tuple[tuple[complex, Word], ...]
-    metadata: dict
 
     def to_json(self) -> list[dict]:
         return [{"coeff": [c.real, c.imag],
@@ -144,7 +143,7 @@ class WitnessDescriptor:
                 for c, word in self.terms]
 
 
-def _reduce_terms(raw, metadata) -> WitnessDescriptor:
+def _reduce_terms(raw) -> WitnessDescriptor:
     """Merge the (coeff, amp1, amp2) terms of equal displacement, prune
     vanishing ones and sort canonically."""
     acc = {}
@@ -155,7 +154,7 @@ def _reduce_terms(raw, metadata) -> WitnessDescriptor:
         (acc[key], Word(1 + 0j, complex(key[0], key[1]),
                         complex(key[2], key[3])))
         for key in sorted(acc) if abs(acc[key]) > COEFF_PRUNE)
-    return WitnessDescriptor(terms, metadata)
+    return WitnessDescriptor(terms)
 
 
 def witness_from_eta(eta: np.ndarray, settings: Settings) -> WitnessDescriptor:
@@ -177,7 +176,7 @@ def witness_from_eta(eta: np.ndarray, settings: Settings) -> WitnessDescriptor:
     raw = [(sum(np.diag(q).tolist()), 0j, 0j)]
     for coeff, x, y in zip((q[d, c] * phase).tolist(), u.tolist(), v.tolist()):
         raw += [(coeff, x, y), (coeff.conjugate(), -x, -y)]
-    return _reduce_terms(raw, {"settings": settings, "eta": tuple(eta)})
+    return _reduce_terms(raw)
 
 
 def witness_expectation(state: TwoModeState, wd: WitnessDescriptor) -> float:
@@ -204,8 +203,7 @@ def paper_witness(xi0: float, eps: float, w: float) -> WitnessDescriptor:
     settings = standard_settings(xi0, eps)
     if not 0.0 < w <= 0.5:
         raise ValueError(f"w must be in (0, 1/2], got {w}")
-    s1 = complex(2.0 * xi0)
-    s2 = 1j * eps / (2.0 * xi0)
+    s1, s2 = settings.alpha1, settings.alpha2
     s3 = s2 - s1
     u = math.sqrt(1.0 - 4.0 * w * w)
     w2 = w * w
@@ -230,5 +228,4 @@ def paper_witness(xi0: float, eps: float, w: float) -> WitnessDescriptor:
     raw.append((g * 1j * ph, -s3, s1))
     raw.append((g * -1j * ph.conjugate(), s1, -s3))
     raw.append((g * -1j * ph.conjugate(), s3, -s1))
-    return _reduce_terms(raw, {"settings": settings, "xi0": xi0,
-                               "eps": eps, "w": w})
+    return _reduce_terms(raw)

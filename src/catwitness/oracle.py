@@ -51,20 +51,6 @@ def _log_factorials(dim: int) -> np.ndarray:
     return table
 
 
-def laguerre(n: int, k: int, x: float) -> float:
-    """Associated Laguerre polynomial L_n^{(k)}(x) by the three-term recurrence."""
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be non-negative")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + k - x
-    for m in range(1, n):
-        prev, cur = cur, ((2 * m + k + 1 - x) * cur - (m + k) * prev) / (m + 1)
-    return cur
-
-
 def displacement_matrix(alpha: complex | np.ndarray, dim: int) -> np.ndarray:
     """Fock-basis matrix of D(alpha), <m|D|n> from associated Laguerre forms.
 

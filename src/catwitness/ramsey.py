@@ -211,6 +211,9 @@ def prepare_conditional(psi: CoherentSuperposition, Theta: float, phi0: float,
         raise TypeError("psi must be a CoherentSuperposition")
     if outcome[0] not in (+1, -1) or outcome[1] not in (+1, -1):
         raise ValueError(f"outcome must be a pair of +-1, got {outcome}")
+    for name, value in (("Theta", Theta), ("phi0", phi0)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if bell == "phi_plus":
         qubit = {(0, 0): 1.0 / math.sqrt(2),
                  (1, 1): cmath.exp(1j * Theta) / math.sqrt(2)}

@@ -47,12 +47,13 @@ def _check_points(z, name: str = "amplitude") -> np.ndarray:
     return z
 
 
-def _exp(x, out=None):
-    """np.exp; where it would overflow (a real part above EXP_MAX),
-    OverflowError as from math.exp instead of a warning and inf."""
-    if (np.real(x) > EXP_MAX).any():
-        raise OverflowError("math range error")
-    return np.exp(x, out=out)
+def _gauss(k, x):
+    """e^{-k x} <= 1 at x = |a|^2 for a rate k >= 0, a float or an array:
+    exactly 1 where k = 0, as the Gaussian is absent there, also where
+    |a|^2 overflowed to inf and 0 * x would be NaN."""
+    if np.isinf(x).any():
+        x = np.where(np.not_equal(k, 0), x, 0.0)
+    return np.exp(-k * x)
 
 
 def _complex(x):
@@ -75,24 +76,6 @@ def _laguerre(n: int, x):
         d += t
         p += d
     return p
-
-
-def coherent_overlap(xi: complex, xi_prime: complex) -> complex:
-    """Inner product <xi|xi'> of two coherent states."""
-    xi = _check_scalar(xi)
-    xi_prime = _check_scalar(xi_prime)
-    return cmath.exp(-(abs(xi) ** 2 + abs(xi_prime) ** 2) / 2.0
-                     + xi.conjugate() * xi_prime)
-
-
-def displaced_matrix_element(xi_a: complex, alpha: complex,
-                             xi_b: complex) -> complex:
-    """<xi_a| D(alpha) |xi_b>, using D(alpha)|xi> = e^{i Im(alpha xi*)} |xi+alpha>."""
-    xi_a = _check_scalar(xi_a)
-    alpha = _check_scalar(alpha)
-    xi_b = _check_scalar(xi_b)
-    phase = cmath.exp(1j * (alpha * xi_b.conjugate()).imag)
-    return phase * coherent_overlap(xi_a, xi_b + alpha)
 
 
 def _superposition(terms, modes: int):
@@ -135,7 +118,9 @@ def _coherent_sum(arrays, a, s):
     expo += g
     if s != 1:
         expo.real -= (1 - s) / 2 * (abs(a) ** 2).sum(-1)[:, None, None]
-    e = _exp(expo, out=expo).reshape(-1, len(c))
+    if (expo.real > EXP_MAX).any():  # as math.exp, not a warning and inf
+        raise OverflowError("math range error")
+    e = np.exp(expo, out=expo).reshape(-1, len(c))
     return ((e @ c.conj()).reshape(-1, len(c)) @ c).reshape(shape)
 
 
@@ -207,8 +192,7 @@ class FockState(SingleModeState):
     def _ordered(self, a, s):
         x = abs(a) ** 2
         p = _laguerre(self.n, x)
-        # chi_N has no Gaussian, whose exponent 0 * x would be NaN at x = inf
-        return p if s == 1 else p * _exp(-(1 - s) * x / 2.0)
+        return p if s == 1 else p * _gauss((1 - s) / 2, x)  # chi_N: L_n alone
 
 
 @dataclass(frozen=True)
@@ -222,7 +206,7 @@ class ThermalState(SingleModeState):
         _check_rate(self.n_th, "n_th")
 
     def _ordered(self, a, s):
-        return _exp(-(self.n_th + (1 - s) / 2) * abs(a) ** 2)
+        return _gauss(self.n_th + (1 - s) / 2, abs(a) ** 2)
 
 
 @dataclass(frozen=True)
@@ -272,7 +256,7 @@ class Decohered(SingleModeState):
 
     def _ordered(self, a, s):
         loss, shrink = -np.expm1(-self.gamma_t), np.exp(-self.gamma_t / 2.0)
-        g = _exp(-(self.n_th + (1 - s) / 2) * loss * abs(a) ** 2)
+        g = _gauss((self.n_th + (1 - s) / 2) * loss, abs(a) ** 2)
         # a 0-d a times shrink is a numpy scalar, whose abs rounds unlike
         # the array loop's; the wrapped state gets an array, as from chi
         return g * self.inner._ordered(np.asarray(a * shrink), s)
@@ -340,6 +324,8 @@ def cat_state(xi0: complex, theta: float) -> CoherentSuperposition:
     point p_plus ~ 0 is rejected.
     """
     xi0 = _check_scalar(xi0, "xi0")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     p_plus = (1.0 + math.cos(theta) * math.exp(-abs(xi0) ** 2 / 2.0)) / 2.0
     if p_plus <= DEGENERATE_NORM:
         raise ValueError(f"degenerate cat-state normalization, p_plus={p_plus:g}")

@@ -229,7 +229,9 @@ def test_chi_usage_errors(capsys):
     for text, message in (("coh:1,2,3", "coh takes 1 or 2 field(s), got 3"),
                           ("fock:1,2", "fock takes 1 field(s), got 2"),
                           ("cat:1,0,5", "cat takes 1 or 2 field(s), got 3"),
-                          ("thermal:", "thermal takes 1 field(s), got 0")):
+                          ("thermal:", "thermal takes 1 field(s), got 0"),
+                          ("cat:2,nan", "theta must be finite, got nan"),
+                          ("cat:2,inf", "theta must be finite, got inf")):
         code, out, err = run(capsys, "chi", "--state", text, "--alpha", "0.5")
         assert (code, out) == (2, "")
         assert message in err
@@ -366,6 +368,12 @@ def test_prepare_bad_outcome(capsys):
     for argv in (("chi", "--state=--", "--alpha", "1"),
                  ("chi", "--state", "vac", "--alpha=--")):
         assert run(capsys, *argv)[0] == 2
+    for flag, message in (("--phi0", "phi0 must be finite, got nan"),
+                          ("--theta", "Theta must be finite, got nan")):
+        code, out, err = run(capsys, "prepare", "--psi", "coh:-1", "--alpha-re",
+                             "2", "--outcome", "gg", flag, "nan")
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 def test_out_file(tmp_path, capsys):

@@ -19,36 +19,13 @@ from catwitness import (
     ThermalState,
     TwoModeMixture,
     cat_state,
-    coherent_overlap,
     decohere,
-    displaced_matrix_element,
     entangled_cat,
     state_from_json,
     state_to_json,
 )
 from catwitness import entanglement, states
 from catwitness.states import _laguerre
-
-
-def test_coherent_overlap_basics():
-    assert coherent_overlap(0.0, 0.0) == 1.0
-    # |<xi|xi'>|^2 = exp(-|xi - xi'|^2)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        got = abs(coherent_overlap(a, b)) ** 2
-        assert got == pytest.approx(math.exp(-abs(a - b) ** 2), abs=1e-12)
-
-
-def test_displaced_matrix_element_reduces_to_overlap():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        a, b, al = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert displaced_matrix_element(a, 0.0, b) == pytest.approx(
-            coherent_overlap(a, b), abs=1e-12)
-        # displacing the vacuum gives the coherent state |alpha>
-        assert displaced_matrix_element(a, al, 0.0) == pytest.approx(
-            coherent_overlap(a, al), abs=1e-12)
 
 
 def test_chi_conjugation_symmetry():
@@ -269,6 +246,13 @@ def test_chi_normal_stays_finite_where_chi_underflows():
     assert ThermalState(0.0).chi_normal(40) == 1
     with np.errstate(over="ignore"):  # |alpha|^2 overflows to inf
         assert VACUUM.chi_normal(1e200) == 1
+        # a Gaussian whose rate is 0 is absent, not e^{-0 * inf} = NaN
+        assert ThermalState(0.0).chi_normal(1e200) == 1
+        assert decohere(VACUUM, 0.5, 0.0).chi_normal(1e200) == 1
+        assert decohere(VACUUM, 0.0, 0.5).chi_normal(1e200) == 1
+        assert decohere(VACUUM, 0.0, 0.5).chi(1e200) == 0
+        got = decohere(VACUUM, np.array([0.0, 1.0]), 0.5).chi_normal(1e200)
+        assert got.tolist() == [1, 0]  # per time: rate 0, then rate > 0
     assert ThermalState(0.5).chi_normal(1.5) == pytest.approx(
         math.exp(-0.5 * 2.25), abs=1e-15)
     mix = Mixture(((0.25, FockState(1)), (0.75, ThermalState(0.0))))
@@ -294,7 +278,10 @@ def test_coherent_state_chi():
 def test_cat_state_normalization_and_chi():
     state = cat_state(2.0, 0.0)
     # construction renormalizes; the Gram norm of the stored terms is 1
-    total = sum(c_k * c_l.conjugate() * coherent_overlap(xi_l, xi_k)
+    # <xi_l|xi_k> = e^{-(|xi_l|^2 + |xi_k|^2)/2 + xi_l* xi_k}
+    total = sum(c_k * c_l.conjugate()
+                * cmath.exp(-(abs(xi_l) ** 2 + abs(xi_k) ** 2) / 2
+                            + xi_l.conjugate() * xi_k)
                 for c_k, xi_k in state.terms
                 for c_l, xi_l in state.terms)
     assert total.real == pytest.approx(1.0, abs=1e-12)
