@@ -51,6 +51,7 @@ from .entanglement import (
     canonical_eta,
     moments9,
     paper_witness,
+    paper_witness_curve,
     partial_transpose,
     ppt_min_eig,
     standard_settings,

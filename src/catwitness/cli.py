@@ -105,8 +105,8 @@ def _csv(args, header: str, *columns):
     """Write a header line and one line per row of the columns, each cell
     as %.17g from a Python float, which formats faster than a numpy one."""
     rows = zip(*(np.asarray(column).tolist() for column in columns))
-    lines = [header] + [",".join(f"{c:.17g}" for c in row) for row in rows]
-    _write(args, "\n".join(lines) + "\n")
+    fmt = ",".join(["%.17g"] * len(columns))
+    _write(args, "\n".join([header] + [fmt % row for row in rows]) + "\n")
 
 
 def _single_mode(args):
@@ -117,7 +117,7 @@ def _single_mode(args):
 
 
 def _pair(args, xi0):
-    """The separable control with --product, else the entangled cat."""
+    """The separable control with --product, else the entangled cats."""
     if args.product:
         return states.ProductState(states.VACUUM, states.VACUUM)
     return states.entangled_cat(xi0, +1)
@@ -200,24 +200,19 @@ def cmd_decay(args) -> int:
 
 
 def cmd_ptmin(args) -> int:
-    # the state depends on xi0 only: one stacked call per xi0 row
     grid = _grid(args, "xi0", "eps")
-    eps = grid.axis_values(1)
-    low = [entanglement.ppt_min_eig(_pair(args, x),
-                                    entanglement.standard_settings(x, eps))
-           for x in grid.axis_values(0)]
-    _csv(args, "xi0,eps,lambda_min", *grid.cells(), np.concatenate(low))
+    xs, eps = grid.axis_values(0), grid.axis_values(1)
+    low = entanglement.ppt_min_eig(  # one (n_xi0, n_eps) stack
+        _pair(args, xs), entanglement.standard_settings(xs[:, None], eps))
+    _csv(args, "xi0,eps,lambda_min", xs.repeat(eps.size),
+         np.tile(eps, xs.size), low.ravel())  # grid.cells(), not rebuilt
     return 0
 
 
 def cmd_witness(args) -> int:
     xs, _ = _grid(args, "xi0").cells()
-
-    def cell(xi0):
-        wd = entanglement.paper_witness(xi0, args.eps, args.w)
-        return entanglement.witness_expectation(_pair(args, xi0), wd)
-
-    _csv(args, "xi0,expectation", xs, [cell(x) for x in xs])
+    _csv(args, "xi0,expectation", xs, entanglement.paper_witness_curve(
+        _pair(args, xs), xs, args.eps, args.w))
     return 0
 
 

@@ -42,9 +42,10 @@ class Settings(NamedTuple):
     beta2: complex
 
 
-def standard_settings(xi0: float, eps: float) -> Settings:
+def standard_settings(xi0: float | np.ndarray, eps: float) -> Settings:
     """Settings tuned to the entangled cat of size xi0:
-    alpha_1 = 2 xi0, alpha_2 = i eps / (2 xi0), beta = -alpha.
+    alpha_1 = 2 xi0, alpha_2 = i eps / (2 xi0), beta = -alpha. Array xi0
+    and eps broadcast to Settings with array fields, one per point.
 
     eps is the relative phase that D(alpha_2) puts between the branches in
     the ket convention D(alpha)|xi> = e^{i Im(alpha xi*)} |xi + alpha>:
@@ -55,11 +56,19 @@ def standard_settings(xi0: float, eps: float) -> Settings:
     moments are damped by exp(-|alpha_2|^2 / 2) and PPT detection of the
     cat is not promised.
     """
-    if not xi0 > 0:
-        raise ValueError(f"xi0 must be > 0, got {xi0}")
-    a1 = complex(2.0 * xi0)
-    a2 = 1j * eps / (2.0 * xi0)
+    if not (np.min(xi0) if getattr(xi0, "ndim", 0) else xi0) > 0:  # or NaN
+        x = np.asarray(xi0)
+        raise ValueError(f"xi0 must be > 0, got {x[~(x > 0)][0]}")
+    a1, a2 = 2.0 * xi0 + 0j, 1j * eps / (2.0 * xi0)
     return Settings(a1, a2, -a1, -a2)
+
+
+def _columns(values):
+    """Scalars and arrays of one broadcast shape as columns (..., n)."""
+    out = np.empty(np.broadcast(*values).shape + (len(values),), complex)
+    for i, v in enumerate(values):
+        out[..., i] = v
+    return out
 
 
 def _gram_words(mode1, mode2):
@@ -69,16 +78,15 @@ def _gram_words(mode1, mode2):
     a = len(mode2) i + j. Mode entries may be arrays of one broadcast
     shape, which then leads the returned arrays."""
     n1, n2 = len(mode1), len(mode2)
-    amps = np.empty(np.broadcast(*mode1, *mode2).shape + (n1 + n2,), complex)
-    for i, w in enumerate((*mode1, *mode2)):
-        amps[..., i] = w
-    a, b, _ = _triu(n1 * n2)
-    x_a, x_b = amps[..., a // n2], amps[..., b // n2]
-    y_a, y_b = amps[..., n1 + a % n2], amps[..., n1 + b % n2]
+    i, j = np.divmod(_triu(n1 * n2)[:2], n2)  # [a, b] // n2 and % n2
+    # one gather of [[x_a, x_b], [y_a, y_b]]: (..., mode, a or b, pair)
+    w = _columns((*mode1, *mode2))[..., np.array((i, n1 + j))]
+    first, second = w[..., 0, :], w[..., 1, :]
     # D(-x_a) D(x_b) = e^{i Im(-x_a x_b*)} D(x_b - x_a), per mode
-    phase = np.exp(1j * ((x_a.real * x_b.imag - x_a.imag * x_b.real)
-                         + (y_a.real * y_b.imag - y_a.imag * y_b.real)))
-    return phase, x_b - x_a, y_b - y_a
+    im = first.real * second.imag - first.imag * second.real
+    phase = np.exp(1j * (im[..., 0, :] + im[..., 1, :]))
+    d = second - first
+    return phase, d[..., 0, :], d[..., 1, :]
 
 
 def _gram(chi2, mode1, mode2) -> np.ndarray:
@@ -179,15 +187,47 @@ def witness_from_eta(eta: np.ndarray, settings: Settings) -> WitnessDescriptor:
     return _reduce_terms(raw)
 
 
+def _expectation(chi2, coeff, amp1, amp2):
+    """sum_i coeff_i chi2(amp1_i, amp2_i), one chi2 call, which is real."""
+    total = chi2(amp1, amp2) @ coeff
+    bad = abs(total.imag) > IMAG_TOL
+    if np.count_nonzero(bad):
+        raise ArithmeticError("witness expectation has imaginary residue "
+                              f"{np.asarray(total.imag)[bad][0]:g}")
+    return total.real
+
+
 def witness_expectation(state: TwoModeState, wd: WitnessDescriptor) -> float:
     """<W> on the state, one chi2 call; the imaginary residue must vanish."""
     t = np.array([(c, w.phase, w.amp1, w.amp2) for c, w in wd.terms],
                  dtype=complex).reshape(-1, 4)
-    total = complex(np.sum(t[:, 0] * (t[:, 1] * state.chi2(t[:, 2], t[:, 3]))))
-    if abs(total.imag) > IMAG_TOL:
-        raise ArithmeticError(
-            f"witness expectation has imaginary residue {total.imag:g}")
-    return total.real
+    return float(_expectation(state.chi2, t[:, 0] * t[:, 1], t[:, 2], t[:, 3]))
+
+
+def _paper_terms(xi0, eps: float, w: float):
+    """The raw (coeff, amp1, amp2) terms of paper_witness, in its merge
+    order and after its checks; an array xi0 gives array amplitudes."""
+    _check_scalar(eps, "eps")
+    settings = standard_settings(xi0, eps)
+    if not 0.0 < w <= 0.5:
+        raise ValueError(f"w must be in (0, 1/2], got {w}")
+    s1, s2 = settings.alpha1, settings.alpha2
+    s3, w2, pm = s2 - s1, w * w, ((s2, 1), (-s2, -1))
+    # w^2 [D(s2) - D(-s2)] x [D(s2) - D(-s2)]
+    raw = [(1.0 + 0j, 0j, 0j)] + [(w2 * siga * sigb, sa, sb)
+                                  for sa, siga in pm for sb, sigb in pm]
+    # 2i w^2 (1 x [D(s2) - D(-s2)] - [D(s2) - D(-s2)] x 1); the sign of this
+    # group is fixed by the operator equivalence with witness_from_eta
+    for sa, siga in pm:
+        raw += [(-2j * w2 * siga, sa, 0j), (2j * w2 * siga, 0j, sa)]
+    # -w sqrt(1-4w^2) { diagonal s1/s3 correlations ... }
+    g = -w * math.sqrt(1.0 - 4.0 * w * w)
+    raw += [(g + 0j, sa, sa) for sa in (s1, -s1, s3, -s3)]
+    # cross correlations; the e^{+-i eps} pairing is fixed by the operator
+    # equivalence with witness_from_eta
+    ph = cmath.exp(-1j * eps)
+    a, b = g * 1j * ph, g * -1j * ph.conjugate()
+    return raw + [(a, -s1, s3), (a, -s3, s1), (b, s1, -s3), (b, s3, -s1)]
 
 
 def paper_witness(xi0: float, eps: float, w: float) -> WitnessDescriptor:
@@ -199,33 +239,12 @@ def paper_witness(xi0: float, eps: float, w: float) -> WitnessDescriptor:
     operator.
     """
     _check_scalar(xi0, "xi0")
-    _check_scalar(eps, "eps")
-    settings = standard_settings(xi0, eps)
-    if not 0.0 < w <= 0.5:
-        raise ValueError(f"w must be in (0, 1/2], got {w}")
-    s1, s2 = settings.alpha1, settings.alpha2
-    s3 = s2 - s1
-    u = math.sqrt(1.0 - 4.0 * w * w)
-    w2 = w * w
-    raw = [(1.0 + 0j, 0j, 0j)]
-    # w^2 [D(s2) - D(-s2)] x [D(s2) - D(-s2)]
-    for sa, siga in ((s2, 1), (-s2, -1)):
-        for sb, sigb in ((s2, 1), (-s2, -1)):
-            raw.append((w2 * siga * sigb, sa, sb))
-    # 2i w^2 (1 x [D(s2) - D(-s2)] - [D(s2) - D(-s2)] x 1); the sign of this
-    # group is fixed by the operator equivalence with witness_from_eta
-    for sa, siga in ((s2, 1), (-s2, -1)):
-        raw.append((-2j * w2 * siga, sa, 0j))
-        raw.append((2j * w2 * siga, 0j, sa))
-    # -w sqrt(1-4w^2) { diagonal s1/s3 correlations ... }
-    g = -w * u
-    for sa in (s1, -s1, s3, -s3):
-        raw.append((g + 0j, sa, sa))
-    # cross correlations; the e^{+-i eps} pairing is fixed by the operator
-    # equivalence with witness_from_eta
-    ph = cmath.exp(-1j * eps)
-    raw.append((g * 1j * ph, -s1, s3))
-    raw.append((g * 1j * ph, -s3, s1))
-    raw.append((g * -1j * ph.conjugate(), s1, -s3))
-    raw.append((g * -1j * ph.conjugate(), s3, -s1))
-    return _reduce_terms(raw)
+    return _reduce_terms(_paper_terms(xi0, eps, w))
+
+
+def paper_witness_curve(state: TwoModeState, xi0: np.ndarray, eps: float,
+                        w: float) -> np.ndarray:
+    """<paper_witness(x, eps, w)> at each x of the array xi0 on the state,
+    entangled_cat(xi0) or one state: one chi2 call over (cells, terms)."""
+    coeff, amp1, amp2 = (_columns(v) for v in zip(*_paper_terms(xi0, eps, w)))
+    return _expectation(state.chi2, coeff, amp1, amp2)

@@ -82,10 +82,18 @@ def min_eigenvalue(m: np.ndarray):
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     adjoint = m.conj().swapaxes(-1, -2)
-    if np.max(np.abs(m - adjoint)) > HERMITIAN_TOL:
+    if abs(m - adjoint).max() > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    low = np.linalg.eigvalsh((m + adjoint) / 2.0)[..., 0]
+    low = np.linalg.eigvalsh((m + adjoint) * 0.5)[..., 0]  # exactly / 2
     return float(low) if m.ndim == 2 else low
+
+
+def _det3(m):
+    """det of (..., 3, 3) Hermitian matrices with unit diagonal, in closed
+    form: LAPACK's is NaN on near-singular ones with subnormal entries."""
+    b, c, d = m[..., 0, 1], m[..., 0, 2], m[..., 1, 2]
+    return (1 - abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2
+            + 2 * (b * d * c.conj()).real)
 
 
 def nc2_certificate(state: SingleModeState,
@@ -98,7 +106,7 @@ def nc2_certificate(state: SingleModeState,
     if pts[0] != 0:
         raise ValueError("points[0] must be 0")
     m = bochner_matrix(state, pts)
-    return np.linalg.det(m).real, min_eigenvalue(m)
+    return _det3(m), min_eigenvalue(m)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +193,7 @@ def region_scan(state: SingleModeState, grid: GridSpec, certificate: str,
                           "point and give a degenerate matrix", stacklevel=2)
         m = _bochner(state, np.stack([np.zeros_like(axis1), axis1, axis2],
                                      axis=-1))
-        values = (np.linalg.det(m).real if certificate == "nc2-det"
+        values = (_det3(m) if certificate == "nc2-det"
                   else min_eigenvalue(m))
         detected = values <= threshold
     return RegionScan(grid, certificate, threshold, axis1, axis2, values,

@@ -24,7 +24,7 @@ from .states import (
     SingleModeState,
     TwoModeState,
     _check_scalar,
-    _from_arrays,
+    _normalize,
     _superposition,
 )
 
@@ -130,7 +130,7 @@ def _branch(cls, raw, outcome):
     arrays, prob = _superposition(raw, modes)
     if prob <= ZERO_PROB:
         raise ValueError(f"outcome {outcome} has probability {prob:g}")
-    return _from_arrays(cls, arrays, prob), prob
+    return _normalize(object.__new__(cls), arrays, prob), prob
 
 
 def conditional_state(state: SingleModeState, s: RamseySetting,

@@ -24,6 +24,7 @@ import numpy as np
 WEIGHT_TOL = 1e-12
 DEGENERATE_NORM = 1e-14
 EXP_MAX = float(np.log(np.finfo(float).max))  # exp(EXP_MAX) is finite
+LAGUERRE_SAFE = 1400.0  # x e^{x/2} is finite, and |L_n(x)| <= e^{x/2}
 
 
 def _check_scalar(z, name: str = "amplitude") -> complex:
@@ -79,66 +80,72 @@ def _laguerre(n: int, x):
 
 
 def _superposition(terms, modes: int):
-    """Term arrays (c, x*^T, g) of sum_k c_k |x_k^1, ..., x_k^modes>, after
-    one finiteness pass: coefficients (K,), conjugate amplitudes (modes, K)
-    and the Gram exponent g (K, K), the _coherent_sum exponent at a = 0,
-    whose diagonal has real part 0 exactly (so that one coherent term has
-    |chi_N| = 1 to an ulp); and the squared norm c e^g c*."""
-    if not terms:
+    """Term arrays (t, w, x*^T, g) of sum_k c_k |x_k^1, ..., x_k^modes>
+    after one finiteness pass: t (K, modes + 1), w_kl = c_k c_l*, x*^T
+    (modes, K) and g (K, K), the _coherent_sum exponent at a = 0, real part
+    0 on the diagonal; the squared norm sum w e^g. Stacked terms lead each."""
+    if not len(terms):
         raise ValueError("superposition needs at least one term")
-    t = np.array(terms, dtype=complex)
-    if t.shape[1:] != (modes + 1,):
+    t = np.asarray(terms, dtype=complex)
+    if t.ndim < 2 or t.shape[-1] != modes + 1:
         raise ValueError(f"a term is a coefficient and {modes} amplitude(s)")
     ok = np.isfinite(t)
     if not ok.all():
-        k, j = np.argwhere(~ok)[0]
-        raise ValueError(f"{'amplitude' if j else 'coefficient'} must be "
-                         f"finite, got {complex(t[k, j])}")
-    c, x = t[:, 0], t[:, 1:]
-    xct = x.conj().T
+        bad = tuple(np.argwhere(~ok)[0])
+        raise ValueError(f"{'amplitude' if bad[-1] else 'coefficient'} must "
+                         f"be finite, got {complex(t[bad])}")
+    c, x = t[..., :1], t[..., 1:]  # c as a column (..., K, 1)
+    xct = x.conj().swapaxes(-1, -2)
     g = x @ xct
-    e = -0.5 * g.diagonal().real
-    g += e[:, None] + e
-    return (c, xct, g), (c @ np.exp(g) @ c.conj()).real
+    e = -0.5 * g.diagonal(0, -2, -1).real
+    g += e[..., :, None] + e[..., None, :]
+    w = c * c.conj().swapaxes(-1, -2)
+    return (t, w, xct, g), (w * np.exp(g)).sum((-2, -1)).real[()]
 
 
 def _coherent_sum(arrays, a, s):
     """sum_{k,l} c_k c_l* prod_m <x_l^m| D(a_m) |x_k^m> at each point of
-    a (..., M), over the term arrays (c, x*^T, g) of _superposition, times
-    e^{s|a|^2/2}: the s-ordered function, chi at s = 0 and chi_N at s = 1.
+    a (..., M), over the arrays (w, x*^T, g) that _normalize keeps, times
+    e^{s|a|^2/2}: chi at s = 0, chi_N at s = 1. A stack (leading axes S on
+    every array) takes points led by S or 1, or with fewer axes, shared.
 
     By D(a)|x> = e^{i Im(a x*)} |x + a>, each term pair is e to the power
     g_kl + a.x_l* - (a.x_k*)* - |a|^2/2, kept combined as its parts alone
-    overflow at macroscopic amplitudes: one (P, M) x (M, K) product a.x*,
-    one (P, K, K) exponent and exp, and two 2-D products."""
-    c, xct, g = arrays
-    shape, a = a.shape[:-1], a.reshape(-1, xct.shape[0])
-    p = a @ xct  # (P, K)
-    expo = p[:, None, :] - p.conj()[:, :, None]
-    expo += g
+    overflow at macroscopic amplitudes: one (S, P, M) x (S, M, K) product,
+    one (S, P, K, K) exponent and exp, one (S, P, K^2) x (S, K^2, 1) product
+    with the weights."""
+    w, xct, g = arrays
+    lead, (m, k) = xct.shape[:-2], xct.shape[-2:]
+    a = a.reshape((1,) * (len(lead) + 1 - a.ndim) + a.shape)  # shared points
+    shape, a = a.shape[len(lead):-1], a.reshape(a.shape[:len(lead)] + (-1, m))
+    p = a @ xct  # (S, P, K)
+    expo = p[..., None, :] - p.conj()[..., :, None]
+    expo += g[..., None, :, :]
     if s != 1:
-        expo.real -= (1 - s) / 2 * (abs(a) ** 2).sum(-1)[:, None, None]
-    if (expo.real > EXP_MAX).any():  # as math.exp, not a warning and inf
+        expo.real -= (1 - s) / 2 * (abs(a) ** 2).sum(-1)[..., None, None]
+    if expo.real.max() > EXP_MAX:  # as math.exp, not a warning and inf
         raise OverflowError("math range error")
-    e = np.exp(expo, out=expo).reshape(-1, len(c))
-    return ((e @ c.conj()).reshape(-1, len(c)) @ c).reshape(shape)
+    e = np.exp(expo, out=expo)
+    out = e.reshape(e.shape[:-2] + (k * k,)) @ w.reshape(lead + (k * k, 1))
+    return out.reshape(out.shape[:-2] + shape)
+
+
+def _tuples(rows, norm_sq):
+    """Term rows (one list deeper per stack axis) as tuples, renormalized."""
+    if isinstance(rows[0][0], list):
+        return tuple(map(_tuples, rows, norm_sq))
+    if norm_sq < DEGENERATE_NORM:
+        raise ValueError(f"degenerate superposition, squared norm {norm_sq:g}")
+    scale = 1.0 / math.sqrt(norm_sq)
+    return tuple((row[0] * scale, *row[1:]) for row in rows)
 
 
 def _normalize(state, arrays, norm_sq):
-    """Renormalize a superposition to the term arrays and squared norm of
-    _superposition, keeping the arrays for _coherent_sum."""
-    if norm_sq < DEGENERATE_NORM:
-        raise ValueError(f"degenerate superposition, squared norm {norm_sq:g}")
-    c = arrays[0] * (1.0 / math.sqrt(norm_sq))
-    terms = zip(c.tolist(), *arrays[1].conj().tolist())
-    object.__setattr__(state, "terms", tuple(terms))
-    object.__setattr__(state, "_arrays", (c, *arrays[1:]))
+    """Renormalize to the arrays and norm of _superposition, per member."""
+    t, w, xct, g = arrays
+    object.__setattr__(state, "terms", _tuples(t.tolist(), norm_sq.tolist()))
+    object.__setattr__(state, "_arrays", (w / norm_sq[..., None, None], xct, g))
     return state
-
-
-def _from_arrays(cls, arrays, norm_sq):
-    """A cls superposition from the term arrays and norm of _superposition."""
-    return _normalize(object.__new__(cls), arrays, norm_sq)
 
 
 class SingleModeState:
@@ -190,9 +197,17 @@ class FockState(SingleModeState):
             raise ValueError(f"Fock index must be a non-negative integer, got {self.n}")
 
     def _ordered(self, a, s):
-        x = abs(a) ** 2
-        p = _laguerre(self.n, x)
-        return p if s == 1 else p * _gauss((1 - s) / 2, x)  # chi_N: L_n alone
+        x, k = abs(a) ** 2, (1 - s) / 2
+        if not (x > LAGUERRE_SAFE).any():  # no step of _laguerre overflows
+            p = _laguerre(self.n, x)
+            return p if s == 1 else p * np.exp(-k * x)  # chi_N: L_n alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = _laguerre(self.n, x) * _gauss(k, x)
+            if k:  # 0 where |chi| <= (1 + x)^n e^{-kx} rounds to 0, as at inf
+                p = np.where(self.n * np.log1p(x) <= k * x - 746.0, 0.0, p)
+        if not np.isfinite(p).all():
+            raise OverflowError("math range error")
+        return p
 
 
 @dataclass(frozen=True)
@@ -335,16 +350,18 @@ def cat_state(xi0: complex, theta: float) -> CoherentSuperposition:
 
 
 def entangled_cat(xi0: complex, sign: int = +1) -> PairSuperposition:
-    """Two-mode superposition (|xi0,xi0> + sign |-xi0,-xi0>), normalized."""
-    xi0 = _check_scalar(xi0, "xi0")
+    """Two-mode superposition (|xi0,xi0> + sign |-xi0,-xi0>), normalized;
+    an array xi0 gives a stack of them (see _coherent_sum)."""
+    check = _check_points if getattr(xi0, "ndim", 0) else _check_scalar
+    xi0 = check(xi0, "xi0")  # an array as points, a scalar as a parameter
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    norm_sq = 2.0 + 2.0 * sign * math.exp(-4.0 * abs(xi0) ** 2)
-    if norm_sq < DEGENERATE_NORM:
+    norm_sq = 2.0 + 2.0 * sign * np.exp(-4.0 * abs(xi0) ** 2)
+    if sign < 0 and np.count_nonzero(norm_sq < DEGENERATE_NORM):
         raise ValueError("entangled cat state vanishes for sign=-1 at xi0=0")
-    scale = 1.0 / math.sqrt(norm_sq)
-    return PairSuperposition(((scale, xi0, xi0),
-                              (sign * scale, -xi0, -xi0)))
+    scale = 1.0 / np.sqrt(norm_sq)
+    t = np.array([[scale, xi0, xi0], [sign * scale, -xi0, -xi0]])
+    return PairSuperposition(t.transpose(*range(2, t.ndim), 0, 1))
 
 
 def decohere(state: SingleModeState, gamma_t: float | np.ndarray,

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from catwitness import (cat_state, cli, entangled_cat, nonclassicality,
-                        oracle, states)
+from catwitness import (cat_state, cli, entangled_cat, entanglement,
+                        nonclassicality, oracle, paper_witness, ppt_min_eig,
+                        standard_settings, states, witness_expectation)
 from catwitness.cli import main, parse_grid, parse_state, UsageError
 
 
@@ -94,6 +95,7 @@ REUSE_CALLS = [
      "--certificate", "nope"),
     ("witness", "--grid", "0.5:1:0.25", "--product"),
     ("ptmin", "--grid", "0.5:1:0.5,1:1.5:0.5"),
+    ("witness", "--grid", "0.5:1.5:0.25", "--eps", "1.3"),
 ]
 
 
@@ -111,7 +113,7 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
         out, err = proc.communicate(timeout=120)
         want[argv] = (proc.returncode, out, err)
     assert got == [want[argv] for argv in REUSE_CALLS]
-    assert [code for code, _, _ in got] == [0, 0, 2, 0, 0]
+    assert [code for code, _, _ in got] == [0, 0, 2, 0, 0, 0]
 
 
 SCIPY_FREE = """
@@ -299,6 +301,67 @@ def test_ptmin_entangled_vs_product(capsys):
     code, _, err = run(capsys, "ptmin")
     assert code == 2
     assert "needs --grid" in err
+
+
+def _rows(out):
+    return [[float(v) for v in line.split(",")] for line in out.split()[1:]]
+
+
+def test_stacked_scans_equal_the_per_cell_calls(capsys):
+    # one state stacked over xi0 per scan; each cell as the library gives it
+    code, out, _ = run(capsys, "ptmin", "--grid=0.3:1.5:0.4,0.5:2:0.5")
+    assert code == 0 and len(_rows(out)) == 16
+    for xi0, eps, low in _rows(out):
+        want = ppt_min_eig(entangled_cat(xi0), standard_settings(xi0, eps))
+        assert abs(low - want) <= 1e-12
+    code, out, _ = run(capsys, "witness", "--grid=0.3:2.3:0.05",
+                       "--eps", "1.3", "--w", "0.4")
+    assert code == 0 and len(_rows(out)) == 41
+    for xi0, value in _rows(out):
+        want = witness_expectation(entangled_cat(xi0),
+                                   paper_witness(xi0, 1.3, 0.4))
+        assert abs(value - want) <= 1e-12
+
+
+def test_one_kernel_call_per_scan(capsys, monkeypatch):
+    counts = {}
+    chi2 = states.TwoModeState.chi2
+    min_eigenvalue = entanglement.min_eigenvalue
+
+    def counted_chi2(self, alpha, beta):
+        counts["chi2"] += 1
+        return chi2(self, alpha, beta)
+
+    def counted_min_eigenvalue(m):
+        counts["eig"] += 1
+        return min_eigenvalue(m)
+
+    monkeypatch.setattr(states.TwoModeState, "chi2", counted_chi2)
+    monkeypatch.setattr(entanglement, "min_eigenvalue", counted_min_eigenvalue)
+    for argv, want in [(("ptmin", "--grid=0.5:1.5:0.25,1:2:0.5"), (1, 1)),
+                       (("ptmin", "--grid=0.5:1.5:0.25,1:2:0.5", "--product"),
+                        (1, 1)),
+                       (("witness", "--grid=0.3:2.3:0.1"), (1, 0)),
+                       (("witness", "--grid=0.3:2.3:0.1", "--product"),
+                        (1, 0))]:
+        counts.update(chi2=0, eig=0)
+        assert run(capsys, *argv)[0] == 0
+        assert (counts["chi2"], counts["eig"]) == want, argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("ptmin", "--grid=-0.5:0.5:0.5,1:1:1"), "xi0 must be > 0, got -0.5"),
+    (("ptmin", "--grid=0:0.5:0.5,1:1:1"), "xi0 must be > 0, got 0.0"),
+    (("witness", "--grid=0:1:0.5"), "xi0 must be > 0, got 0.0"),
+    (("witness", "--grid=0.5:1:0.5", "--w", "0.7"),
+     "w must be in (0, 1/2], got 0.7"),
+    (("witness", "--grid=0.5:1:0.5", "--eps", "nan"),
+     "eps must be finite, got (nan+0j)"),
+])
+def test_stacked_scans_name_the_first_bad_cell(capsys, argv, message):
+    # the messages and exit code of the per-cell loop they replace
+    for product in ((), ("--product",)):
+        assert run(capsys, *argv, *product) == (2, "", f"error: {message}\n")
 
 
 def test_witness_sign_change(capsys):

@@ -15,6 +15,7 @@ from catwitness import (
     entangled_cat,
     moments9,
     paper_witness,
+    paper_witness_curve,
     partial_transpose,
     ppt_min_eig,
     standard_settings,
@@ -30,6 +31,34 @@ def test_standard_settings_geometry():
     assert s.beta1 == -s.alpha1 and s.beta2 == -s.alpha2
     with pytest.raises(ValueError):
         standard_settings(0.0, 1.0)
+
+
+def test_standard_settings_broadcast_an_array_xi0():
+    xs, eps = np.array([0.5, 1.0, 2.0]), np.array([1.0, 1.5])
+    s = standard_settings(xs[:, None], eps)
+    for i, xi0 in enumerate(xs):
+        for j, e in enumerate(eps):
+            want = standard_settings(float(xi0), float(e))
+            got = [np.broadcast_to(f, (3, 2))[i, j] for f in s]
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    # a scalar xi0 keeps Python complex fields
+    assert all(type(f) is complex for f in standard_settings(2.0, 1.0))
+    for bad, shown in ((np.array([1.0, -0.5, 0.0]), "-0.5"),
+                       (np.array([[1.0], [np.nan]]), "nan")):
+        message = rf"^xi0 must be > 0, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            standard_settings(bad, 1.0)
+
+
+def test_paper_witness_curve_equals_the_per_cell_witness():
+    xs = np.linspace(0.3, 2.3, 9)
+    product = ProductState(cat_state(0.7, 0.4), ThermalState(0.3))
+    for state, member in ((entangled_cat(xs), entangled_cat),
+                          (product, lambda _: product)):
+        got = paper_witness_curve(state, xs, 1.2, 0.45)
+        want = [witness_expectation(member(x), paper_witness(x, 1.2, 0.45))
+                for x in xs]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_moments9_is_psd_gram_with_unit_diagonal():

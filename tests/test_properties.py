@@ -285,6 +285,25 @@ def test_coherent_sums_at_macroscopic_amplitudes(case):
 
 
 @SETTINGS
+@given(st.lists(st.floats(0.2, 19.0), min_size=1, max_size=5),
+       st.sampled_from((1, -1)), st.data())
+def test_stacked_entangled_cat_equals_each_member(xs, sign, data):
+    # the points lie within 1 of a term difference 0 or +-2 xi0 per mode,
+    # where the term pairs are of order one up to |alpha| = 39
+    stack = entangled_cat(np.array(xs), sign)
+    shift = st.sampled_from((0.0, 2.0, -2.0))
+    alpha, beta = (np.array([[data.draw(shift) * x + data.draw(offsets)
+                              for _ in range(4)] for x in xs])
+                   for _ in range(2))
+    want = [entangled_cat(x, sign).chi2(a, b)
+            for x, a, b in zip(xs, alpha, beta)]
+    assert_close(stack.chi2(alpha, beta), want)
+    # a scalar point, without the stack axis, is shared by every member
+    assert_close(stack.chi2(0.3, -0.2j),
+                 [entangled_cat(x, sign).chi2(0.3, -0.2j) for x in xs])
+
+
+@SETTINGS
 @given(two_mode, st.floats(0.3, 2.0),
        st.lists(st.floats(0.1, 2.5), min_size=1, max_size=6),
        point_arrays(4))

@@ -2,6 +2,7 @@ import ast
 import cmath
 import inspect
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,30 @@ def test_chi_normal_stays_finite_where_chi_underflows():
     assert cmath.isfinite(cat_state(2.0, 0.0).chi_normal(40))
     with pytest.raises(OverflowError):
         cat_state(2.0, 0.0).chi_normal(400)  # about e^798
+
+def test_fock_chi_has_no_nan_where_laguerre_overflows():
+    # warnings are errors, so an inf - inf or 0 * inf in the recurrence
+    # fails here; only |alpha|^2's own overflow to inf is ignored
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            # chi's limit at |alpha|^2 = inf is 0; chi_N is +-inf there
+            assert FockState(1).chi(1e200) == 0
+            assert FockState(3).chi(1e160) == 0
+            assert ProductState(FockState(1), VACUUM).chi2(1e200, 0) == 0
+            with pytest.raises(OverflowError):
+                FockState(2).chi_normal(1e200)
+        # finite |alpha|^2 where L_n overflows: chi rounds to 0, chi_N raises
+        assert FockState(3).chi(1e103) == 0
+        with pytest.raises(OverflowError):
+            FockState(3).chi_normal(1e103)
+        assert FockState(1).chi_normal(1e100) == 1 - 1e200
+        got = FockState(5).chi(np.array([0.5, 1e103, 50.0]))
+        assert got.tolist() == [FockState(5).chi(0.5), 0, 0]
+        # where the recurrence overflows but |chi| may be of order 1
+        with pytest.raises(OverflowError):
+            FockState(400).chi(38.0)
+
 
 def test_coherent_state_chi():
     # single coherent state |xi>: chi(alpha) = e^{-|alpha|^2/2} e^{2i Im(alpha xi*)}
