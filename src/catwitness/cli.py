@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -101,12 +103,23 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
-def _csv(args, header: str, *columns):
-    """Write a header line and one line per row of the columns, each cell
-    as %.17g from a Python float, which formats faster than a numpy one."""
-    rows = zip(*(np.asarray(column).tolist() for column in columns))
+def _csv(args, header: str, axes, *columns):
+    """Write a header and one line per row: its values of the grid axes,
+    row-major (none for a list of points), then its cell of each column,
+    all %.17g of Python floats, so each round-trips exactly. Each axis value
+    is formatted once, into its rows' formats; a lone axis, one row per
+    value, is printed as a column."""
+    if len(axes) == 1:
+        axes, columns = (), (*axes, *columns)
     fmt = ",".join(["%.17g"] * len(columns))
-    _write(args, "\n".join([header] + [fmt % row for row in rows]) + "\n")
+    formatted = [["%.17g," % v for v in axis.tolist()] for axis in axes]
+    inner = formatted.pop() if axes else [""] * len(columns[0])
+    row_fmts = map("".join, itertools.product(*formatted,
+                                              [p + fmt for p in inner]))
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    lines = [header, *map(operator.mod, row_fmts, rows), ""]
+    del rows  # drop the cell lists before the text is joined
+    _write(args, "\n".join(lines))
 
 
 def _single_mode(args):
@@ -135,15 +148,8 @@ def _grid(args, *names) -> nonclassicality.GridSpec:
 
 
 def _alpha_list(args):
-    if args.alpha:
-        out = []
-        for text in args.alpha:
-            re, _, im = text.partition("/")
-            out.append(complex(float(re), float(im) if im else 0.0))
-        return out
-    if args.grid:
-        return [complex(a, b) for a, b in zip(*parse_grid(args.grid).cells())]
-    raise UsageError("chi needs --alpha or --grid")
+    return [complex(float(re), float(im) if im else 0.0)
+            for re, _, im in (text.partition("/") for text in args.alpha)]
 
 
 def _one_alpha(args, default=None):
@@ -158,22 +164,27 @@ def _one_alpha(args, default=None):
 
 def cmd_chi(args) -> int:
     state = _single_mode(args)
-    alphas = _alpha_list(args)
-    points = np.array(alphas, dtype=complex)
+    if args.alpha:
+        points = np.array(_alpha_list(args), dtype=complex)
+        axes, columns = (), [points.real, points.imag]
+    elif args.grid:
+        axes, columns = parse_grid(args.grid).axis_pair(), []
+        points = np.add.outer(axes[0], 1j * axes[1]).ravel()  # row-major
+    else:
+        raise UsageError("chi needs --alpha or --grid")
     chi, chi_n = state.chi(points), state.chi_normal(points)
     header = "alpha_re,alpha_im,chi_re,chi_im,chiN_re,chiN_im"
-    columns = [points.real, points.imag, chi.real, chi.imag,
-               chi_n.real, chi_n.imag]
+    columns += [chi.real, chi.imag, chi_n.real, chi_n.imag]
     if args.verify:
         header += ",oracle_delta"
         deltas = []
-        for alpha, c in zip(alphas, chi.tolist()):
+        for alpha, c in zip(points.tolist(), chi.tolist()):
             deltas.append(abs(c - oracle.oracle_chi(state, alpha)))
             if deltas[-1] > VERIFY_TOL:
                 raise ConsistencyError(
                     f"oracle discrepancy {deltas[-1]:g} at alpha={alpha}")
         columns.append(deltas)
-    _csv(args, header, *columns)
+    _csv(args, header, axes, *columns)
     return 0
 
 
@@ -181,7 +192,7 @@ def cmd_ncregion(args) -> int:
     state = _single_mode(args)
     scan = nonclassicality.region_scan(state, _grid(args), args.certificate,
                                        args.threshold)
-    _csv(args, "axis1,axis2,value,detected", scan.axis1, scan.axis2,
+    _csv(args, "axis1,axis2,value,detected", scan.grid.axis_pair(),
          scan.values, scan.detected)
     return 0
 
@@ -191,11 +202,11 @@ def cmd_decay(args) -> int:
     alpha = _one_alpha(args)
     if alpha is None:
         raise UsageError("decay needs --alpha")
-    ts, _ = _grid(args, "gamma_t").cells()
+    ts = _grid(args, "gamma_t").axis_values(0)
     values = abs(states.decohere(state, ts, args.nth).chi_normal(alpha))
     if (values[1:] > values[:-1] + 1e-12).any():
         print("warning: |chiN| is not monotone on this grid", file=sys.stderr)
-    _csv(args, "gamma_t,absChiN", ts, values)
+    _csv(args, "gamma_t,absChiN", (ts,), values)
     return 0
 
 
@@ -204,14 +215,13 @@ def cmd_ptmin(args) -> int:
     xs, eps = grid.axis_values(0), grid.axis_values(1)
     low = entanglement.ppt_min_eig(  # one (n_xi0, n_eps) stack
         _pair(args, xs), entanglement.standard_settings(xs[:, None], eps))
-    _csv(args, "xi0,eps,lambda_min", xs.repeat(eps.size),
-         np.tile(eps, xs.size), low.ravel())  # grid.cells(), not rebuilt
+    _csv(args, "xi0,eps,lambda_min", (xs, eps), low.ravel())
     return 0
 
 
 def cmd_witness(args) -> int:
-    xs, _ = _grid(args, "xi0").cells()
-    _csv(args, "xi0,expectation", xs, entanglement.paper_witness_curve(
+    xs = _grid(args, "xi0").axis_values(0)
+    _csv(args, "xi0,expectation", (xs,), entanglement.paper_witness_curve(
         _pair(args, xs), xs, args.eps, args.w))
     return 0
 

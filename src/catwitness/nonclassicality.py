@@ -114,12 +114,13 @@ def nc2_certificate(state: SingleModeState,
 # ---------------------------------------------------------------------------
 
 def _axis_size(start: float, stop: float, step: float) -> int:
-    return int(math.floor((stop - start) / step + 0.5)) + 1
+    """The count of points start + n step <= stop, up to rounding."""
+    return math.floor((stop - start) / step * (1 + 1e-12) + 1e-9) + 1
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """One or two axes, each (start, stop, step) with inclusive endpoints."""
+    """One or two axes, each (start, stop, step): start + n step <= stop."""
 
     axes: tuple[tuple[float, float, float], ...]
 
@@ -140,11 +141,15 @@ class GridSpec:
         start, _, step = self.axes[i]
         return start + step * np.arange(_axis_size(*self.axes[i]))
 
-    def cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """(axis1, axis2) of every cell, row-major ascending; a one-axis
-        grid has axis2 = 0."""
-        ax1 = self.axis_values(0)
+    def axis_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """The values of (axis1, axis2); a one-axis grid has axis2 = [0]."""
         ax2 = self.axis_values(1) if len(self.axes) == 2 else np.zeros(1)
+        return self.axis_values(0), ax2
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(axis1, axis2) of every cell, row-major ascending over
+        axis_pair()."""
+        ax1, ax2 = self.axis_pair()
         return np.repeat(ax1, ax2.size), np.tile(ax2, ax1.size)
 
 

@@ -171,8 +171,8 @@ def state_to_matrix(state: SingleModeState, dim: int) -> np.ndarray:
 
 def _state_to_matrix(state, dim: int) -> np.ndarray:
     if isinstance(state, CoherentSuperposition):
-        c, xi = zip(*state.terms)
-        vec = (np.array(c)[:, None] * _coherent_vectors(xi, dim)).sum(axis=0)
+        c, xi = _terms(state)
+        vec = (c[:, None] * _coherent_vectors(xi, dim)).sum(axis=0)
         return np.outer(vec, vec.conjugate())
     if isinstance(state, FockState):
         if state.n >= dim:
@@ -207,9 +207,18 @@ def expval(operator: np.ndarray, rho: np.ndarray) -> complex:
 # Adaptive-truncation characteristic functions
 # ---------------------------------------------------------------------------
 
+def _terms(state) -> np.ndarray:
+    """Contiguous rows c, x^1, ... of one superposition's terms."""
+    t = np.array(state.terms, dtype=complex)
+    if t.ndim > 2:
+        raise ValueError(f"a stack of {t[..., 0, 0].size} states has no "
+                         "oracle route; take one member")
+    return t.T.copy()
+
+
 def _max_amplitude(state) -> float:
-    if isinstance(state, CoherentSuperposition):
-        return max(abs(xi) for _, xi in state.terms)
+    if isinstance(state, (CoherentSuperposition, PairSuperposition)):
+        return float(abs(_terms(state)[1:]).max())
     if isinstance(state, FockState):
         return math.sqrt(state.n)
     if isinstance(state, ThermalState):
@@ -218,8 +227,6 @@ def _max_amplitude(state) -> float:
         return max(_max_amplitude(s) for _, s in state.components)
     if isinstance(state, Decohered):
         return _max_amplitude(state.inner)
-    if isinstance(state, PairSuperposition):
-        return max(max(abs(a), abs(b)) for _, a, b in state.terms)
     if isinstance(state, ProductState):
         return max(_max_amplitude(state.left), _max_amplitude(state.right))
     raise TypeError(f"unknown state {type(state).__name__}")
@@ -299,8 +306,7 @@ def _chi2_structured(state, d1, d2, dim) -> complex:
     Kronecker matrix is never formed."""
     if isinstance(state, PairSuperposition):
         # sum_{k,l} c_k c_l* <u_l|d1|u_k> <z_l|d2|z_k> = c^dag (G1 o G2) c
-        c, a, b = zip(*state.terms)
-        c = np.array(c, dtype=complex)
+        c, a, b = _terms(state)
         u, z = _coherent_vectors(a, dim), _coherent_vectors(b, dim)
         gram = (u.conj() @ d1 @ u.T) * (z.conj() @ d2 @ z.T)
         return complex(c.conj() @ gram @ c)

@@ -396,6 +396,10 @@ def _j2c(v, key: str) -> complex:
 
 def state_to_json(state) -> dict:
     """Serialize a state descriptor to its JSON-schema dict."""
+    shape = np.shape(getattr(state, "terms", ()))  # a stack nests deeper
+    if len(shape) > 2:
+        raise ValueError(f"a stack of {math.prod(shape[:-2])} states has no "
+                         "single JSON form; take one member")
     if isinstance(state, CoherentSuperposition):
         return {"kind": "coherent_superposition",
                 "terms": [{"coeff": _c2j(c), "amplitude": _c2j(xi)}

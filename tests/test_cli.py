@@ -3,8 +3,10 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from catwitness import (cat_state, cli, entangled_cat, entanglement,
@@ -437,6 +439,125 @@ def test_prepare_bad_outcome(capsys):
                              "2", "--outcome", "gg", flag, "nan")
         assert (code, out) == (2, "")
         assert message in err
+
+
+def _reference_csv(header, *columns):
+    """Every cell of every column as %.17g of a Python float, joined per
+    row: the writer's bytes before it formatted each axis value once."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    fmt = ",".join(["%.17g"] * len(columns))
+    return "\n".join([header] + [fmt % row for row in rows]) + "\n"
+
+
+def _chi_csv(state, alphas):
+    points = np.array(alphas, dtype=complex)
+    chi, chi_n = state.chi(points), state.chi_normal(points)
+    return _reference_csv("alpha_re,alpha_im,chi_re,chi_im,chiN_re,chiN_im",
+                          points.real, points.imag, chi.real, chi.imag,
+                          chi_n.real, chi_n.imag)
+
+
+def _chi_grid_csv(text, grid):
+    return _chi_csv(parse_state(text),
+                    [complex(a, b) for a, b in zip(*parse_grid(grid).cells())])
+
+
+def _ncregion_csv(text, grid, certificate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # repeated test points
+        scan = nonclassicality.region_scan(parse_state(text), parse_grid(grid),
+                                           certificate)
+    return _reference_csv("axis1,axis2,value,detected", scan.axis1,
+                          scan.axis2, scan.values, scan.detected)
+
+
+def _decay_csv(text, alpha, grid, nth):
+    ts, _ = parse_grid(grid).cells()
+    values = abs(states.decohere(parse_state(text), ts, nth).chi_normal(alpha))
+    return _reference_csv("gamma_t,absChiN", ts, values)
+
+
+def _pair_for(xs, product):
+    if product:
+        return states.ProductState(states.VACUUM, states.VACUUM)
+    return entangled_cat(xs)
+
+
+def _ptmin_csv(grid, product=False):
+    xs, eps = parse_grid(grid).cells()
+    ax, ae = np.unique(xs), np.unique(eps)
+    low = ppt_min_eig(_pair_for(ax, product),
+                      standard_settings(ax[:, None], ae))
+    return _reference_csv("xi0,eps,lambda_min", xs, eps, low.ravel())
+
+
+def _witness_csv(grid, product=False, eps=math.pi / 2, w=0.4247):
+    xs, _ = parse_grid(grid).cells()
+    return _reference_csv("xi0,expectation", xs,
+                          entanglement.paper_witness_curve(
+                              _pair_for(xs, product), xs, eps, w))
+
+
+CSV_CASES = [
+    (("chi", "--state", "cat:1.5,0.3", "--grid=-1:1:0.5,-0.5:0.7:0.4"),
+     lambda: _chi_grid_csv("cat:1.5,0.3", "-1:1:0.5,-0.5:0.7:0.4")),
+    (("chi", "--state", "fock:2", "--grid", "0.1:1.3:0.3"),
+     lambda: _chi_grid_csv("fock:2", "0.1:1.3:0.3")),
+    (("chi", "--state", "thermal:0.4", "--alpha", "1/0.5", "--alpha=-0/-0",
+      "--alpha", "2"),
+     lambda: _chi_csv(states.ThermalState(0.4), [1 + 0.5j, complex(-0.0, -0.0),
+                                                 2])),
+    (("ncregion", "--state", "cat:2,0", "--certificate", "nc1",
+      "--grid", "0:3:0.25,-0.5:0.5:0.25"),
+     lambda: _ncregion_csv("cat:2,0", "0:3:0.25,-0.5:0.5:0.25", "nc1")),
+    (("ncregion", "--state", "fock:1", "--certificate", "nc1",
+      "--grid", "0:2:0.1"),
+     lambda: _ncregion_csv("fock:1", "0:2:0.1", "nc1")),
+    (("ncregion", "--state", "fock:1", "--certificate", "nc2-det",
+      "--grid", "0.1:0.9:0.2,-0.85:0.95:0.3"),
+     lambda: _ncregion_csv("fock:1", "0.1:0.9:0.2,-0.85:0.95:0.3", "nc2-det")),
+    (("ncregion", "--state", "cat:1,0", "--certificate", "nc2-det",
+      "--grid=-1:1:0.25"),
+     lambda: _ncregion_csv("cat:1,0", "-1:1:0.25", "nc2-det")),
+    (("ncregion", "--state", "fock:2", "--certificate", "nc2-eig",
+      "--grid", "0.1:0.9:0.2,-0.85:0.95:0.3"),
+     lambda: _ncregion_csv("fock:2", "0.1:0.9:0.2,-0.85:0.95:0.3", "nc2-eig")),
+    (("ncregion", "--state", "fock:2", "--certificate", "nc2-eig",
+      "--grid", "0.3:1.5:0.3"),
+     lambda: _ncregion_csv("fock:2", "0.3:1.5:0.3", "nc2-eig")),
+    (("decay", "--state", "cat:2,0", "--alpha", "1/0.5", "--nth", "0.3",
+      "--grid", "0:2:0.25"),
+     lambda: _decay_csv("cat:2,0", 1 + 0.5j, "0:2:0.25", 0.3)),
+    (("ptmin", "--grid", "1.2:1.2:1,0.7:0.7:1"),
+     lambda: _ptmin_csv("1.2:1.2:1,0.7:0.7:1")),
+    (("ptmin", "--grid", "0.3:1.5:0.4,0.5:2:0.25"),
+     lambda: _ptmin_csv("0.3:1.5:0.4,0.5:2:0.25")),
+    (("ptmin", "--grid", "0.3:1.5:0.4,0.5:2:0.25", "--product"),
+     lambda: _ptmin_csv("0.3:1.5:0.4,0.5:2:0.25", product=True)),
+    (("witness", "--grid", "1.1:1.1:0.5"),
+     lambda: _witness_csv("1.1:1.1:0.5")),
+    (("witness", "--grid", "0.3:2.3:0.15", "--eps", "1.3", "--w", "0.4"),
+     lambda: _witness_csv("0.3:2.3:0.15", eps=1.3, w=0.4)),
+    (("witness", "--grid", "0.3:2.3:0.15", "--product"),
+     lambda: _witness_csv("0.3:2.3:0.15", product=True)),
+]
+
+
+@pytest.mark.parametrize("argv, reference", CSV_CASES,
+                         ids=[" ".join(argv) for argv, _ in CSV_CASES])
+def test_csv_bytes_equal_the_per_cell_formatter(capsys, tmp_path, argv,
+                                                reference):
+    """Formatting each axis value once prints the bytes of formatting every
+    cell, and --out writes the bytes stdout gets."""
+    want = reference()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert run(capsys, *argv)[:2] == (0, want)
+        target = tmp_path / "out.csv"
+        assert run(capsys, *argv, "--out", str(target))[:2] == (0, "")
+    assert target.read_bytes() == want.encode()
+    if "--alpha=-0/-0" in argv:
+        assert want.split("\n")[2].startswith("-0,-0,")
 
 
 def test_out_file(tmp_path, capsys):

@@ -19,6 +19,7 @@ from catwitness import (
     region_scan,
 )
 from catwitness import cli
+from catwitness.nonclassicality import MAX_CELLS
 
 
 def one_photon_mixture(p):
@@ -151,6 +152,24 @@ def test_grid_spec_axis_values():
                  (nan, 1.0, 1.0), (-1e308, 1e308, 1.0)):
         with pytest.raises(ValueError, match="bad axis"):
             GridSpec((axis,))
+
+
+def test_grid_axes_never_pass_their_max():
+    # a step that does not land on stop ends below it; one that does
+    # keeps stop despite the rounding of (stop - start) / step
+    assert GridSpec(((0.0, 1.0, 0.4),)).axis_values(0).tolist() == [
+        0.0, 0.4, 0.8]
+    assert GridSpec(((0.5, 2.0, 0.4),)).axis_values(0).max() < 2.0
+    assert GridSpec(((0.0, 3.0, 0.1),)).axis_values(0).size == 31
+    assert GridSpec(((-3.0, 3.0, 0.1),)).axis_values(0).size == 61
+    assert GridSpec(((0.3, 2.3, 0.05),)).axis_values(0).size == 41
+    assert GridSpec(((1.0, 1.0, 0.5),)).axis_values(0).tolist() == [1.0]
+    # the cell cap counts the same points: 1000 x 1000, not 1001 x 1001
+    axis = (0.0, 0.9995, 1e-3)
+    grid = GridSpec((axis, axis))
+    assert grid.axis_values(0).size * grid.axis_values(1).size == MAX_CELLS
+    with pytest.raises(ValueError, match="1001000 cells"):
+        GridSpec(((0.0, 1.0, 1e-3), axis))
 
 
 def test_region_scan_nc1_detects_cat_lobe():

@@ -309,6 +309,21 @@ def test_expval_rejects_mismatched_shapes():
         expval(displacement_matrix(0.3, 9), rho)
 
 
+def test_oracle_of_a_stack_names_the_stack():
+    # a stacked state has no oracle route on any entry point
+    message = "a stack of 2 states has no oracle route; take one member"
+    pair = entangled_cat(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match=message):
+        oracle_chi2(pair, 0.1, 0.2)
+    with pytest.raises(ValueError, match=message):
+        oracle_chi2(TwoModeMixture(((1.0, pair),)), 0.1, 0.2)
+    cats = CoherentSuperposition(np.array([[[1, 0], [1, x]] for x in (1, 2)]))
+    with pytest.raises(ValueError, match=message):
+        oracle_chi(cats, 0.3)
+    with pytest.raises(ValueError, match=message):
+        state_to_matrix(cats, 20)
+
+
 @pytest.mark.parametrize("state", [
     entangled_cat(1.0, +1),
     ProductState(VACUUM, FockState(1)),

@@ -486,3 +486,15 @@ def test_json_rejects_unknown_kind():
         state_from_json({"kind": "squeezed"})
     with pytest.raises(ValueError):
         state_from_json({"terms": []})
+
+
+def test_json_of_a_stack_names_the_stack():
+    # a stacked state evaluates as one, but has no single JSON form
+    stack = entangled_cat(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="a stack of 2 states has no single "
+                                         "JSON form; take one member"):
+        state_to_json(stack)
+    cats = CoherentSuperposition(
+        np.array([[[1, 0], [1, x]] for x in (1, 2, 3)]))
+    with pytest.raises(ValueError, match="a stack of 3 states"):
+        state_to_json(Mixture(((1.0, cats),)))
