@@ -79,22 +79,31 @@ def _polar(z: np.ndarray):
 
 def _displacement_stack(alpha: np.ndarray, dim: int) -> np.ndarray:
     shape, alpha = alpha.shape, alpha.reshape(-1)
+    size = alpha.size
     amp, log_amp, phase = _polar(alpha)
     n = np.arange(dim)
-    # h[n, b, k]: each step of the recurrence reads and writes whole
-    # contiguous (B, dim) rows; entries with n + k >= dim are never read
-    h = np.zeros((dim, alpha.size, dim))
+    # h[n, b, k] = |<n+k|D|n>|: each step of the recurrence reads and
+    # writes whole contiguous (B, dim) rows; entries with n + k >= dim are
+    # never used
+    h = np.zeros((dim, size, dim))
     x = amp ** 2
     h[0] = np.exp(n * log_amp - x / 2.0 - 0.5 * _log_factorials(dim))
     _laguerre_rows(h, x)
-    rows, cols = np.tril_indices(dim)
-    k = rows - cols
-    mag = h.transpose(1, 0, 2)[:, cols, k]
-    out = np.empty((alpha.size, dim, dim), dtype=complex)
-    out[:, rows, cols] = mag * (phase ** n)[:, k]
-    # <n|D(alpha)|m> = conj(<m|D(-alpha)|n>): the same magnitude with the
-    # phase of -alpha, conjugated
-    out[:, cols, rows] = mag * ((-phase.conjugate()) ** n)[:, k]
+    # upper[b, n, m] = h[n, b, m - n], a strided view that holds |D| on and
+    # above the diagonal (m >= n) and unused entries of h below it; |D| is
+    # symmetric, so its lower triangle is the transposed view
+    s = h.itemsize
+    upper = np.ndarray((size, dim, dim), float, h, 0,
+                       (dim * s, (size * dim - 1) * s, s))
+    mag = np.where(np.tri(dim, dtype=bool), upper.swapaxes(1, 2), upper)
+    # <m|D|n> has the phase of alpha^(m-n) below the diagonal and, as
+    # <n|D(alpha)|m> = conj(<m|D(-alpha)|n>), of (-alpha*)^(n-m) above it:
+    # one Toeplitz view of [(-phase*)^(dim-1) .. (-phase*)^1, phase^0 ..]
+    powers = np.concatenate(((-phase.conjugate()) ** n[:0:-1], phase ** n),
+                            axis=1)
+    sb, sk = powers.strides
+    out = mag * np.ndarray((size, dim, dim), complex, powers, (dim - 1) * sk,
+                           (sb, sk, -sk))
     out[alpha == 0] = np.eye(dim)
     return out.reshape(shape + (dim, dim))
 
@@ -102,19 +111,21 @@ def _displacement_stack(alpha: np.ndarray, dim: int) -> np.ndarray:
 def _laguerre_rows(h: np.ndarray, x: np.ndarray) -> None:
     """Rows 1.. of h[n, b, k] from row 0, in place:
     h[m+1] = ((2m+1-x+k) h[m] - root[m] h[m-1]) / root[m+1] with
-    root[m, k] = sqrt(m (m+k)), from two tables built once, so that a step
-    is four ufunc calls on preallocated rows."""
+    root[m, k] = sqrt(m (m+k)), as q[m] h[m] - r[m] h[m-1] from the ratio
+    tables q = (2m+1-x+k) / root[m+1] and r = root[m] / root[m+1], built
+    once, so that a step is three ufunc calls on preallocated rows. Each
+    table entry depends on (m, k, x) only, not on the cutoff."""
     dim = h.shape[0]
     n = np.arange(dim)
-    coef = ((2 * n[:-1] + 1)[:, None, None] - x) + n  # (dim-1, B, dim)
-    root = list(np.sqrt(n[:, None] * (n[:, None] + n)))  # root[0] = 0 drops h[-1]
+    root = np.sqrt(n[:, None] * (n[:, None] + n))  # root[0] = 0 drops h[-1]
+    q = (((2 * n[:-1] + 1)[:, None, None] - x) + n) / root[1:, None]
+    r = root[:-1] / root[1:]
     hn, t = list(h), np.empty_like(h[0])
-    for m, c in enumerate(coef):
+    for m in range(dim - 1):
         nxt = hn[m + 1]
-        np.multiply(c, hn[m], out=t)
-        np.multiply(root[m], hn[m - 1], out=nxt)
-        np.subtract(t, nxt, out=nxt)
-        np.divide(nxt, root[m + 1], out=nxt)
+        np.multiply(q[m], hn[m], out=nxt)
+        np.multiply(r[m], hn[m - 1], out=t)
+        np.subtract(nxt, t, out=nxt)
 
 
 def _coherent_vectors(xi, dim: int) -> np.ndarray:
@@ -129,6 +140,18 @@ def _coherent_vectors(xi, dim: int) -> np.ndarray:
     return vec
 
 
+def _kraus_table(dim: int, eta: float) -> np.ndarray:
+    """a[k, n] = sqrt(C(n, k) eta^(n-k) (1-eta)^k) = <n-k|A_k|n>, the one
+    shifted diagonal of each amplitude-damping Kraus operator A_k; 0 for
+    n < k."""
+    n = np.arange(dim)
+    kc = n[:, None]
+    lg = _log_factorials(dim)
+    log_sq = (lg - lg[kc] - lg[np.abs(n - kc)]
+              + (n - kc) * math.log(eta) + kc * math.log1p(-eta))
+    return np.exp(0.5 * np.where(n >= kc, log_sq, -np.inf))
+
+
 def apply_damping(rho: np.ndarray, gamma_t: float) -> np.ndarray:
     """Amplitude-damping Kraus sum on a truncated density matrix.
 
@@ -141,16 +164,58 @@ def apply_damping(rho: np.ndarray, gamma_t: float) -> np.ndarray:
     if eta == 1.0:
         return rho
     dim = rho.shape[0]
-    n = np.arange(dim)
-    kc = n[:, None]
-    lg = _log_factorials(dim)
-    log_sq = (lg - lg[kc] - lg[np.abs(n - kc)]
-              + (n - kc) * math.log(eta) + kc * math.log1p(-eta))
-    a = np.exp(0.5 * np.where(n >= kc, log_sq, -np.inf))
+    a = _kraus_table(dim, eta)
     out = np.zeros_like(rho)
     for k in range(dim):
         out[:dim - k, :dim - k] += np.outer(a[k, k:], a[k, k:]) * rho[k:, k:]
     return out
+
+
+def _damped_factor(v: np.ndarray, gamma_t: float) -> np.ndarray:
+    """The Kraus vectors A_k v of one column v, as the columns k of a
+    (dim, dim) factor: (A_k v)[i] = a[k, i+k] v[i+k], one strided view
+    of the products a[k, j] v[j], zero-padded past j = dim."""
+    eta = math.exp(-gamma_t)
+    if eta == 1.0:
+        return v
+    dim = v.shape[0]
+    prod = np.zeros((dim, 2 * dim), dtype=complex)
+    np.multiply(_kraus_table(dim, eta), v[:, 0], out=prod[:, :dim])
+    sk, sj = prod.strides
+    return np.ndarray((dim, dim), complex, prod, 0, (sj, sk + sj))
+
+
+def _factor(state, dim: int) -> np.ndarray | None:
+    """V (dim, r) with rho = V V^dagger in the truncated Fock basis, or None
+    where the state has no factor of at most dim columns (thermal states,
+    losses of mixed or already damped states), which go dense."""
+    if isinstance(state, CoherentSuperposition):
+        c, xi = _terms(state)
+        return (c[:, None] * _coherent_vectors(xi, dim)).sum(axis=0)[:, None]
+    if isinstance(state, FockState):
+        if state.n >= dim:
+            raise TruncationError(dim, 1.0)
+        return (np.arange(dim) == state.n).astype(complex)[:, None]
+    if isinstance(state, ThermalState) and state.n_th == 0.0:
+        return _factor(FockState(0), dim)
+    if isinstance(state, Mixture):
+        parts = [_factor(s, dim) for _, s in state.components]
+        if any(v is None for v in parts) or sum(v.shape[1] for v in parts) > dim:
+            return None
+        return np.hstack([math.sqrt(w) * v
+                          for (w, _), v in zip(state.components, parts)])
+    if isinstance(state, Decohered) and state.n_th == 0:
+        v = _factor(state.inner, dim)
+        if v is None or v.shape[1] > 1:
+            return None
+        return _damped_factor(v, state.gamma_t)
+    return None
+
+
+def _check_trace(dim: int, trace: float) -> None:
+    leakage = abs(1.0 - trace)
+    if leakage > TRACE_TOL:
+        raise TruncationError(dim, leakage)
 
 
 def state_to_matrix(state: SingleModeState, dim: int) -> np.ndarray:
@@ -163,35 +228,34 @@ def state_to_matrix(state: SingleModeState, dim: int) -> np.ndarray:
     :func:`oracle_chi2` evaluates them per mode.
     """
     rho = _state_to_matrix(state, dim)
-    leakage = abs(1.0 - np.trace(rho).real)
-    if leakage > TRACE_TOL:
-        raise TruncationError(dim, leakage)
+    _check_trace(dim, np.trace(rho).real)
     return rho
 
 
 def _state_to_matrix(state, dim: int) -> np.ndarray:
-    if isinstance(state, CoherentSuperposition):
-        c, xi = _terms(state)
-        vec = (c[:, None] * _coherent_vectors(xi, dim)).sum(axis=0)
-        return np.outer(vec, vec.conjugate())
-    if isinstance(state, FockState):
-        if state.n >= dim:
-            raise TruncationError(dim, 1.0)
-        return np.diag(np.arange(dim) == state.n).astype(complex)
+    v, rho = _realize(state, dim)
+    return v @ v.conj().T if rho is None else rho
+
+
+def _realize(state, dim: int):
+    """(V, None) for a state with a factor, else (None, rho): the operands
+    of _contract, with the trace unchecked."""
+    v = _factor(state, dim)
+    if v is not None:
+        return v, None
     if isinstance(state, ThermalState):
-        if state.n_th == 0.0:
-            return _state_to_matrix(FockState(0), dim)
         n = np.arange(dim)
         p = state.n_th ** n / (1.0 + state.n_th) ** (n + 1)
-        return np.diag(p).astype(complex)
+        return None, np.diag(p).astype(complex)
     if isinstance(state, Mixture):
-        return functools.reduce(np.add, (w * _state_to_matrix(s, dim)
-                                         for w, s in state.components))
+        return None, functools.reduce(np.add, (w * _state_to_matrix(s, dim)
+                                               for w, s in state.components))
     if isinstance(state, Decohered):
         if state.n_th > 0:
             raise ValueError("no independent Fock-space path for thermal "
                              "decoherence (n_th > 0); use the closed form")
-        return apply_damping(_state_to_matrix(state.inner, dim), state.gamma_t)
+        return None, apply_damping(_state_to_matrix(state.inner, dim),
+                                   state.gamma_t)
     raise TypeError(f"cannot realize {type(state).__name__} as a single-mode "
                     "matrix; two-mode states go through oracle_chi2")
 
@@ -201,6 +265,16 @@ def expval(operator: np.ndarray, rho: np.ndarray) -> complex:
     if operator.shape != rho.shape:
         raise ValueError(f"shape mismatch: {operator.shape} vs {rho.shape}")
     return complex(np.einsum("ij,ji->", operator, rho))
+
+
+def _contract(operator: np.ndarray, v: np.ndarray | None,
+              rho: np.ndarray | None) -> complex:
+    """tr{A rho}: vdot(V, A V) where rho = V V^dagger has the factor V,
+    expval(A, rho) where it has none. The one single-mode contraction of
+    oracle_chi and of oracle_chi2's product states."""
+    if v is None:
+        return expval(operator, rho)
+    return complex(np.vdot(v, operator @ v))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +359,8 @@ def _converge(evaluate, dim: int, tol: float) -> complex:
 
 def oracle_chi(state: SingleModeState, alpha: complex,
                tol: float = CONVERGENCE_TOL) -> complex:
-    """chi(alpha) by direct tr{D(alpha) rho}, doubling dim until converged;
+    """chi(alpha) by direct tr{D(alpha) rho}, as vdot(V, D V) for a state
+    with a factor rho = V V^dagger, doubling dim until converged;
     elementwise over an ndarray."""
     if isinstance(alpha, np.ndarray):
         return np.vectorize(lambda a: oracle_chi(state, a, tol),
@@ -294,8 +369,9 @@ def oracle_chi(state: SingleModeState, alpha: complex,
     blocks = _leading_blocks(np.array(alpha, dtype=complex))
 
     def at_dim(dim):
-        rho = state_to_matrix(state, dim)  # may leak: no D(alpha) built then
-        return expval(blocks(dim), rho)
+        v, rho = _realize(state, dim)  # may leak: no D(alpha) built then
+        _check_trace(dim, (np.trace(rho) if v is None else np.vdot(v, v)).real)
+        return _contract(blocks(dim), v, rho)
 
     return _converge(at_dim, initial_dim(state, alpha), tol)
 
@@ -311,8 +387,8 @@ def _chi2_structured(state, d1, d2, dim) -> complex:
         gram = (u.conj() @ d1 @ u.T) * (z.conj() @ d2 @ z.T)
         return complex(c.conj() @ gram @ c)
     if isinstance(state, ProductState):
-        return (expval(d1, _state_to_matrix(state.left, dim))
-                * expval(d2, _state_to_matrix(state.right, dim)))
+        return (_contract(d1, *_realize(state.left, dim))
+                * _contract(d2, *_realize(state.right, dim)))
     if isinstance(state, TwoModeMixture):
         return sum(w * _chi2_structured(s, d1, d2, dim)
                    for w, s in state.components)

@@ -25,6 +25,7 @@ WEIGHT_TOL = 1e-12
 DEGENERATE_NORM = 1e-14
 EXP_MAX = float(np.log(np.finfo(float).max))  # exp(EXP_MAX) is finite
 LAGUERRE_SAFE = 1400.0  # x e^{x/2} is finite, and |L_n(x)| <= e^{x/2}
+LN2 = math.log(2.0)
 
 
 def _check_scalar(z, name: str = "amplitude") -> complex:
@@ -77,6 +78,24 @@ def _laguerre(n: int, x):
         d += t
         p += d
     return p
+
+
+def _scaled_laguerre(n: int, x):
+    """L_n(x) as (p, e) with L_n(x) = p 2^e: _laguerre's recurrence with
+    its two running values rescaled by a power of two after every step.
+    That scaling is exact, so p 2^e is _laguerre's value wherever that is
+    finite, and no step overflows where L_n(x) is past the float range."""
+    e = np.zeros(np.shape(x), dtype=np.int64)
+    if n == 0:
+        return np.ones_like(x), e
+    d = -x
+    p = d + 1.0
+    for k in range(1, n):
+        ex = np.frexp(np.maximum(abs(p), abs(d)))[1]
+        p, d, e = np.ldexp(p, -ex), np.ldexp(d, -ex), e + ex
+        d = d * (k / (k + 1)) + x / -(k + 1) * p
+        p = p + d
+    return p, e
 
 
 def _superposition(terms, modes: int):
@@ -202,9 +221,14 @@ class FockState(SingleModeState):
             p = _laguerre(self.n, x)
             return p if s == 1 else p * np.exp(-k * x)  # chi_N: L_n alone
         with np.errstate(over="ignore", invalid="ignore"):
-            p = _laguerre(self.n, x) * _gauss(k, x)
-            if k:  # 0 where |chi| <= (1 + x)^n e^{-kx} rounds to 0, as at inf
+            p, e = _scaled_laguerre(self.n, x)
+            if k:  # e^{-kx} meets 2^e before either leaves the float range
+                p = np.where(x > LAGUERRE_SAFE, p * np.exp(e * LN2 - k * x),
+                             np.ldexp(p, e) * np.exp(-k * x))
+                # 0 where |chi| <= (1 + x)^n e^{-kx} rounds to 0, as at inf
                 p = np.where(self.n * np.log1p(x) <= k * x - 746.0, 0.0, p)
+            else:
+                p = np.ldexp(p, e)
         if not np.isfinite(p).all():
             raise OverflowError("math range error")
         return p

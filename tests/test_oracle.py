@@ -193,7 +193,8 @@ def test_truncation_error_stays_within_max_dim(monkeypatch):
     assert exc.value.dim <= 64
     with pytest.raises(TruncationError, match="needs dim=420"):
         oracle_chi(cat_state(10.0, 0.0), 0.5)
-    monkeypatch.setattr(oracle, "expval", lambda op, rho: complex("nan"))
+    monkeypatch.setattr(oracle, "_contract",
+                        lambda op, *operands: complex("nan"))
     with pytest.raises(TruncationError, match="non-finite") as exc:
         oracle_chi(FockState(1), 0.5)
     assert exc.value.dim == 24
@@ -223,6 +224,95 @@ def test_stacked_displacement_matrix_equals_scalar_calls():
     assert displacement_matrix(np.array(0.5j), dim).shape == (dim, dim)
 
 
+def _gathered_displacement_stack(alpha, dim):
+    """The previous build of D: four ufunc calls per Laguerre step, then
+    np.tril_indices gathers and scatters; the reference for the strided
+    build."""
+    shape, alpha = alpha.shape, alpha.reshape(-1)
+    amp, log_amp, phase = oracle._polar(alpha)
+    n = np.arange(dim)
+    h = np.zeros((dim, alpha.size, dim))
+    x = amp ** 2
+    h[0] = np.exp(n * log_amp - x / 2.0 - 0.5 * oracle._log_factorials(dim))
+    coef = ((2 * n[:-1] + 1)[:, None, None] - x) + n
+    root = list(np.sqrt(n[:, None] * (n[:, None] + n)))
+    hn, t = list(h), np.empty_like(h[0])
+    for m, c in enumerate(coef):
+        nxt = hn[m + 1]
+        np.multiply(c, hn[m], out=t)
+        np.multiply(root[m], hn[m - 1], out=nxt)
+        np.subtract(t, nxt, out=nxt)
+        np.divide(nxt, root[m + 1], out=nxt)
+    rows, cols = np.tril_indices(dim)
+    k = rows - cols
+    mag = h.transpose(1, 0, 2)[:, cols, k]
+    out = np.empty((alpha.size, dim, dim), dtype=complex)
+    out[:, rows, cols] = mag * (phase ** n)[:, k]
+    out[:, cols, rows] = mag * ((-phase.conjugate()) ** n)[:, k]
+    out[alpha == 0] = np.eye(dim)
+    return out.reshape(shape + (dim, dim))
+
+
+@pytest.mark.parametrize("dim", [1, 5, 45, 90, 180])
+def test_strided_build_matches_the_gathered_build(dim):
+    # the ratio tables round differently from the four-call step; the
+    # recurrence's own rounding near |alpha| = 1e-3 reaches 2e-13 at dim 180
+    # in both builds (against 40-digit Laguerre values), so they are
+    # compared at the 1e-12 to which oracle outputs are held
+    amps = np.array([[0.3 + 0.1j, 0.0, -1.2 + 0.7j],
+                     [2.5j, -1.5 - 2.0j, 1e-3]])
+    got = displacement_matrix(amps, dim)
+    want = _gathered_displacement_stack(amps, dim)
+    assert got.shape == want.shape == (2, 3, dim, dim)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.array_equal(got[0, 1], np.eye(dim))
+    if dim <= 90:
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+_LOSSLESS_MIX = Mixture(((0.4, FockState(2)), (0.6, cat_state(1.2, 0.5))))
+
+
+@pytest.mark.parametrize("state, columns", [
+    (cat_state(1.5, 0.3), 1),
+    (CoherentSuperposition(((1.0, 0.8 - 0.6j),)), 1),
+    (FockState(3), 1),
+    (_LOSSLESS_MIX, 2),
+    (decohere(cat_state(1.5, 0.3), 0.4, 0.0), "dim"),
+    (decohere(_LOSSLESS_MIX, 0.4, 0.0), None),  # 2 dim columns: dense
+])
+def test_factor_route_equals_dense_route(state, columns):
+    a = 0.7 - 0.4j
+    for dim in (24, 48):
+        v = oracle._factor(state, dim)
+        assert (v is None if columns is None
+                else v.shape == (dim, dim if columns == "dim" else columns))
+        d = displacement_matrix(a, dim)
+        rho = state_to_matrix(state, dim)
+        if v is not None:
+            assert np.max(np.abs(v @ v.conj().T - rho)) == 0.0
+        got = oracle._contract(d, *oracle._realize(state, dim))
+        assert abs(got - expval(d, rho)) <= 1e-14
+    dense = oracle._converge(
+        lambda dim: expval(displacement_matrix(a, dim), state_to_matrix(state, dim)),
+        initial_dim(state, a), oracle.CONVERGENCE_TOL)
+    assert abs(oracle_chi(state, a) - dense) <= 1e-14
+
+
+@pytest.mark.parametrize("state", [
+    CoherentSuperposition(((1.0, 4.0),)),
+    decohere(CoherentSuperposition(((1.0, 4.0),)), 0.1, 0.0),
+])
+def test_leaking_factor_raises_before_any_build(monkeypatch, state):
+    builds, _ = _record_builds(monkeypatch)
+    monkeypatch.setattr(oracle, "MAX_DIM", 8)
+    monkeypatch.setattr(oracle, "initial_dim", lambda *args: 8)
+    assert oracle._factor(state, 8) is not None
+    with pytest.raises(TruncationError, match="dim=8 leaks"):
+        oracle_chi(state, 0.3)
+    assert builds == []
+
+
 def _record_builds(monkeypatch):
     """Wrap displacement_matrix to record (shape of alpha, dim) per build."""
     builds = []
@@ -240,13 +330,14 @@ def test_convergence_run_builds_once_at_twice_the_first_cutoff(monkeypatch):
     builds, real = _record_builds(monkeypatch)
     visited = []
     a, b = 0.4 + 0.2j, -0.3j
+    contract = oracle._contract
 
-    def expval_checked(op, rho):
+    def contract_checked(op, *operands):
         visited.append(op.shape[0])
         assert np.array_equal(op, real(a, op.shape[0]))
-        return expval(op, rho)
+        return contract(op, *operands)
 
-    monkeypatch.setattr(oracle, "expval", expval_checked)
+    monkeypatch.setattr(oracle, "_contract", contract_checked)
     state = cat_state(1.0, 0.0)
     d = initial_dim(state, a)
     assert oracle_chi(state, a) == pytest.approx(state.chi(a), abs=1e-9)

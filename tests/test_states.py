@@ -5,6 +5,7 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_laguerre
@@ -283,9 +284,28 @@ def test_fock_chi_has_no_nan_where_laguerre_overflows():
         assert FockState(1).chi_normal(1e100) == 1 - 1e200
         got = FockState(5).chi(np.array([0.5, 1e103, 50.0]))
         assert got.tolist() == [FockState(5).chi(0.5), 0, 0]
-        # where the recurrence overflows but |chi| may be of order 1
+        # where L_n alone overflows but chi is of order 1, and chi_N is
+        # past the float range
+        assert cmath.isfinite(FockState(400).chi(38.0))
         with pytest.raises(OverflowError):
-            FockState(400).chi(38.0)
+            FockState(400).chi_normal(38.0)
+
+
+@pytest.mark.parametrize("n, alpha", [
+    (400, 38.0), (1000, 40.0), (600, 37.5 + 3j), (2000, 60.0), (5000, 100.0),
+    (50, 40.0), (1, 38.0),
+])
+def test_fock_chi_past_the_laguerre_range_against_mpmath(n, alpha):
+    # |alpha|^2 > LAGUERRE_SAFE: L_n(x) e^{-x/2} from the rescaled
+    # recurrence, against 50-digit values at the same float x
+    x = abs(alpha) ** 2
+    assert x > states.LAGUERRE_SAFE
+    with mpmath.workdps(50):
+        want = float(mpmath.laguerre(n, 0, x) * mpmath.exp(-mpmath.mpf(x) / 2))
+    assert abs(FockState(n).chi(alpha) - want) <= 1e-14
+    # a point below the range in the same array keeps its own path's value
+    got = FockState(n).chi(np.array([alpha, 1.5, 0.0]))
+    assert got.tolist() == [FockState(n).chi(alpha), FockState(n).chi(1.5), 1]
 
 
 def test_coherent_state_chi():
