@@ -30,6 +30,7 @@ from .states import (
 TRACE_TOL = 1e-6
 CONVERGENCE_TOL = 1e-9
 MAX_DIM = 4096  # largest per-mode cutoff the doubling loop builds
+_STACKED = "a stack of {} states has no oracle route; take one member"
 
 
 class TruncationError(ValueError):
@@ -143,121 +144,90 @@ def _coherent_vectors(xi, dim: int) -> np.ndarray:
 def _kraus_table(dim: int, eta: float) -> np.ndarray:
     """a[k, n] = sqrt(C(n, k) eta^(n-k) (1-eta)^k) = <n-k|A_k|n>, the one
     shifted diagonal of each amplitude-damping Kraus operator A_k; 0 for
-    n < k."""
-    n = np.arange(dim)
-    kc = n[:, None]
-    lg = _log_factorials(dim)
-    log_sq = (lg - lg[kc] - lg[np.abs(n - kc)]
-              + (n - kc) * math.log(eta) + kc * math.log1p(-eta))
-    return np.exp(0.5 * np.where(n >= kc, log_sq, -np.inf))
+    n < k. lg[m] and m log(eta), m = n - k, are Toeplitz views (as D's
+    phases are) of rows padded with inf and 0 where m < 0, so a = 0 there."""
+    lg, n = _log_factorials(dim), np.arange(dim)
+    pad = np.zeros((2, 2 * dim - 1))
+    pad[0, :dim - 1] = np.inf
+    pad[:, dim - 1:] = lg, n * math.log(eta)
+    sr, s = pad.strides
+    lg_m, m_log = np.ndarray((2, dim, dim), float, pad, (dim - 1) * s,
+                             (sr, -s, s))
+    return np.exp(0.5 * (lg - lg[:, None] - lg_m + m_log
+                         + n[:, None] * math.log1p(-eta)))
 
 
-def apply_damping(rho: np.ndarray, gamma_t: float) -> np.ndarray:
-    """Amplitude-damping Kraus sum on a truncated density matrix.
-
-    The Kraus operator A_k has one shifted diagonal, <n-k|A_k|n> = a[k, n]
-    = sqrt(C(n, k) eta^(n-k) (1-eta)^k), so A_k rho A_k^T is rho's
-    lower-right block scaled by outer(a[k, k:], a[k, k:]), moved to the top
-    left.
-    """
-    eta = math.exp(-gamma_t)
-    if eta == 1.0:
-        return rho
-    dim = rho.shape[0]
-    a = _kraus_table(dim, eta)
-    out = np.zeros_like(rho)
-    for k in range(dim):
-        out[:dim - k, :dim - k] += np.outer(a[k, k:], a[k, k:]) * rho[k:, k:]
-    return out
-
-
-def _damped_factor(v: np.ndarray, gamma_t: float) -> np.ndarray:
-    """The Kraus vectors A_k v of one column v, as the columns k of a
-    (dim, dim) factor: (A_k v)[i] = a[k, i+k] v[i+k], one strided view
-    of the products a[k, j] v[j], zero-padded past j = dim."""
-    eta = math.exp(-gamma_t)
-    if eta == 1.0:
-        return v
-    dim = v.shape[0]
-    prod = np.zeros((dim, 2 * dim), dtype=complex)
-    np.multiply(_kraus_table(dim, eta), v[:, 0], out=prod[:, :dim])
-    sk, sj = prod.strides
-    return np.ndarray((dim, dim), complex, prod, 0, (sj, sk + sj))
-
-
-def _factor(state, dim: int) -> np.ndarray | None:
-    """V (dim, r) with rho = V V^dagger in the truncated Fock basis, or None
-    where the state has no factor of at most dim columns (thermal states,
-    losses of mixed or already damped states), which go dense."""
-    if isinstance(state, CoherentSuperposition):
-        c, xi = _terms(state)
-        return (c[:, None] * _coherent_vectors(xi, dim)).sum(axis=0)[:, None]
-    if isinstance(state, FockState):
-        if state.n >= dim:
-            raise TruncationError(dim, 1.0)
-        return (np.arange(dim) == state.n).astype(complex)[:, None]
-    if isinstance(state, ThermalState) and state.n_th == 0.0:
-        return _factor(FockState(0), dim)
-    if isinstance(state, Mixture):
-        parts = [_factor(s, dim) for _, s in state.components]
-        if any(v is None for v in parts) or sum(v.shape[1] for v in parts) > dim:
-            return None
-        return np.hstack([math.sqrt(w) * v
-                          for (w, _), v in zip(state.components, parts)])
-    if isinstance(state, Decohered) and state.n_th == 0:
-        v = _factor(state.inner, dim)
-        if v is None or v.shape[1] > 1:
-            return None
-        return _damped_factor(v, state.gamma_t)
-    return None
-
-
-def _check_trace(dim: int, trace: float) -> None:
-    leakage = abs(1.0 - trace)
-    if leakage > TRACE_TOL:
-        raise TruncationError(dim, leakage)
-
-
-def state_to_matrix(state: SingleModeState, dim: int) -> np.ndarray:
-    """Density matrix of a single-mode state in the truncated Fock basis.
-
-    Raises :class:`TruncationError` when the cutoff loses more than 1e-6 of
-    the trace. Thermal decoherence (Decohered with n_th > 0) has no
-    independent matrix realization here; only the pure-loss channel is
-    applied as a Kraus sum. Two-mode states have no dense matrix:
-    :func:`oracle_chi2` evaluates them per mode.
-    """
-    rho = _state_to_matrix(state, dim)
-    _check_trace(dim, np.trace(rho).real)
-    return rho
-
-
-def _state_to_matrix(state, dim: int) -> np.ndarray:
-    v, rho = _realize(state, dim)
-    return v @ v.conj().T if rho is None else rho
+def _shifted(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out[i, k, ...] = table[k, i+k] x[i+k, ...], zero past i+k = dim, one
+    strided view of the zero-padded products: with the Kraus table, the
+    Kraus vectors A_k v of each column v of x; with its square, p'."""
+    dim, rest = x.shape[0], x.shape[1:]
+    prod = np.zeros((dim, 2 * dim) + rest, dtype=x.dtype)
+    np.multiply(table.reshape(table.shape + (1,) * len(rest)), x,
+                out=prod[:, :dim])
+    sk, sj = prod.strides[:2]
+    return np.ndarray((dim, dim) + rest, x.dtype, prod, 0,
+                      (sj, sk + sj) + prod.strides[2:])
 
 
 def _realize(state, dim: int):
-    """(V, None) for a state with a factor, else (None, rho): the operands
-    of _contract, with the trace unchecked."""
-    v = _factor(state, dim)
-    if v is not None:
-        return v, None
+    """(V, p) of shapes (dim, r) and (dim,) with rho = V V^dagger + diag(p)
+    in the truncated Fock basis, the trace unchecked. A superposition of
+    coherent states is one column of V, a Fock or thermal state is p, a
+    mixture stacks the sqrt(w)-scaled columns and sums w p of its
+    components, and pure loss maps V to its Kraus vectors A_k v (r dim
+    columns) and a nonzero p to p'_n = sum_k a[k, n+k]^2 p[n+k]."""
+    if isinstance(state, CoherentSuperposition):
+        c, xi = _terms(state)
+        return (c @ _coherent_vectors(xi, dim))[:, None], np.zeros(dim)
+    no_columns = np.zeros((dim, 0), complex)
+    if isinstance(state, FockState):
+        if state.n >= dim:
+            raise TruncationError(dim, 1.0)
+        p = np.zeros(dim)
+        p[state.n] = 1.0
+        return no_columns, p
     if isinstance(state, ThermalState):
-        n = np.arange(dim)
-        p = state.n_th ** n / (1.0 + state.n_th) ** (n + 1)
-        return None, np.diag(p).astype(complex)
+        # r^n underflows to 0 where n_th^n / (1 + n_th)^(n+1) is inf / inf
+        r = state.n_th / (1.0 + state.n_th)
+        return no_columns, r ** np.arange(dim) / (1.0 + state.n_th)
     if isinstance(state, Mixture):
-        return None, functools.reduce(np.add, (w * _state_to_matrix(s, dim)
-                                               for w, s in state.components))
+        parts = [(w, *_realize(s, dim)) for w, s in state.components]
+        return (np.hstack([math.sqrt(w) * v for w, v, _ in parts]),
+                sum(w * p for w, _, p in parts))
     if isinstance(state, Decohered):
+        if np.ndim(state.gamma_t):
+            raise ValueError(_STACKED.format(np.size(state.gamma_t)))
         if state.n_th > 0:
             raise ValueError("no independent Fock-space path for thermal "
                              "decoherence (n_th > 0); use the closed form")
-        return None, apply_damping(_state_to_matrix(state.inner, dim),
-                                   state.gamma_t)
+        v, p = _realize(state.inner, dim)
+        eta = math.exp(-state.gamma_t)
+        if eta == 1.0:
+            return v, p
+        a = _kraus_table(dim, eta)
+        return (_shifted(a, v).reshape(dim, dim * v.shape[1]),
+                _shifted(a * a, p).sum(axis=1) if np.count_nonzero(p) else p)
     raise TypeError(f"cannot realize {type(state).__name__} as a single-mode "
                     "matrix; two-mode states go through oracle_chi2")
+
+
+def _checked(state, dim: int):
+    """_realize(state, dim); a TruncationError where |V|^2 + sum(p) leaks."""
+    v, p = _realize(state, dim)
+    leakage = abs(1.0 - (np.vdot(v, v).real + p.sum()))
+    if leakage > TRACE_TOL:
+        raise TruncationError(dim, leakage)
+    return v, p
+
+
+def state_to_matrix(state: SingleModeState, dim: int) -> np.ndarray:
+    """Density matrix V V^dagger + diag(p) of a single-mode state in the
+    truncated Fock basis. Raises :class:`TruncationError` when the cutoff
+    loses more than 1e-6 of the trace; two-mode states have no dense matrix,
+    :func:`oracle_chi2` evaluates them per mode."""
+    v, p = _checked(state, dim)
+    return v @ v.conj().T + np.diag(p)
 
 
 def expval(operator: np.ndarray, rho: np.ndarray) -> complex:
@@ -267,14 +237,15 @@ def expval(operator: np.ndarray, rho: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", operator, rho))
 
 
-def _contract(operator: np.ndarray, v: np.ndarray | None,
-              rho: np.ndarray | None) -> complex:
-    """tr{A rho}: vdot(V, A V) where rho = V V^dagger has the factor V,
-    expval(A, rho) where it has none. The one single-mode contraction of
-    oracle_chi and of oracle_chi2's product states."""
-    if v is None:
-        return expval(operator, rho)
-    return complex(np.vdot(v, operator @ v))
+def _contract(operator: np.ndarray, v: np.ndarray, p: np.ndarray) -> complex:
+    """tr{A rho} = vdot(V, A V) + diag(A).p for rho = V V^dagger + diag(p),
+    so no dim x dim density matrix is formed; the term of a V with no
+    columns or of a zero p is not computed. The one single-mode
+    contraction of oracle_chi and of oracle_chi2's product states."""
+    value = np.vdot(v, operator @ v) if v.shape[1] else 0j
+    if np.count_nonzero(p):
+        value += operator.diagonal() @ p
+    return complex(value)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +256,7 @@ def _terms(state) -> np.ndarray:
     """Contiguous rows c, x^1, ... of one superposition's terms."""
     t = np.array(state.terms, dtype=complex)
     if t.ndim > 2:
-        raise ValueError(f"a stack of {t[..., 0, 0].size} states has no "
-                         "oracle route; take one member")
+        raise ValueError(_STACKED.format(t[..., 0, 0].size))
     return t.T.copy()
 
 
@@ -359,8 +329,8 @@ def _converge(evaluate, dim: int, tol: float) -> complex:
 
 def oracle_chi(state: SingleModeState, alpha: complex,
                tol: float = CONVERGENCE_TOL) -> complex:
-    """chi(alpha) by direct tr{D(alpha) rho}, as vdot(V, D V) for a state
-    with a factor rho = V V^dagger, doubling dim until converged;
+    """chi(alpha) by direct tr{D(alpha) rho}, as vdot(V, D V) + diag(D).p
+    for rho = V V^dagger + diag(p), doubling dim until converged;
     elementwise over an ndarray."""
     if isinstance(alpha, np.ndarray):
         return np.vectorize(lambda a: oracle_chi(state, a, tol),
@@ -369,9 +339,8 @@ def oracle_chi(state: SingleModeState, alpha: complex,
     blocks = _leading_blocks(np.array(alpha, dtype=complex))
 
     def at_dim(dim):
-        v, rho = _realize(state, dim)  # may leak: no D(alpha) built then
-        _check_trace(dim, (np.trace(rho) if v is None else np.vdot(v, v)).real)
-        return _contract(blocks(dim), v, rho)
+        v, p = _checked(state, dim)  # a leak raises before D(alpha) is built
+        return _contract(blocks(dim), v, p)
 
     return _converge(at_dim, initial_dim(state, alpha), tol)
 

@@ -420,9 +420,11 @@ def _j2c(v, key: str) -> complex:
 
 def state_to_json(state) -> dict:
     """Serialize a state descriptor to its JSON-schema dict."""
-    shape = np.shape(getattr(state, "terms", ()))  # a stack nests deeper
-    if len(shape) > 2:
-        raise ValueError(f"a stack of {math.prod(shape[:-2])} states has no "
+    # a stack nests its terms deeper, or decoheres for an array of times
+    stack = (np.shape(getattr(state, "terms", ()))[:-2]
+             or np.shape(getattr(state, "gamma_t", 0.0)))
+    if stack:
+        raise ValueError(f"a stack of {math.prod(stack)} states has no "
                          "single JSON form; take one member")
     if isinstance(state, CoherentSuperposition):
         return {"kind": "coherent_superposition",

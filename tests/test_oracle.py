@@ -1,4 +1,5 @@
 import ast
+import functools
 import inspect
 import math
 
@@ -9,6 +10,7 @@ from scipy.special import eval_genlaguerre, gammaln
 from catwitness import (
     VACUUM,
     CoherentSuperposition,
+    Decohered,
     FockState,
     Mixture,
     ProductState,
@@ -21,7 +23,6 @@ from catwitness import (
 )
 from catwitness.oracle import (
     TruncationError,
-    apply_damping,
     displacement_matrix,
     expval,
     initial_dim,
@@ -112,6 +113,47 @@ def test_state_to_matrix_truncation_error():
 def test_decohered_thermal_bath_has_no_matrix_path():
     with pytest.raises(ValueError):
         state_to_matrix(decohere(VACUUM, 0.5, 2.0), 30)
+
+
+def apply_damping(rho, gamma_t):
+    """Amplitude-damping Kraus sum on a truncated density matrix.
+
+    The Kraus operator A_k has one shifted diagonal, <n-k|A_k|n> = a[k, n]
+    = sqrt(C(n, k) eta^(n-k) (1-eta)^k), so A_k rho A_k^T is rho's
+    lower-right block scaled by outer(a[k, k:], a[k, k:]), moved to the top
+    left.
+    """
+    eta = math.exp(-gamma_t)
+    if eta == 1.0:
+        return rho
+    dim = rho.shape[0]
+    a = oracle._kraus_table(dim, eta)
+    out = np.zeros_like(rho)
+    for k in range(dim):
+        out[:dim - k, :dim - k] += np.outer(a[k, k:], a[k, k:]) * rho[k:, k:]
+    return out
+
+
+def _dense_matrix(state, dim):
+    """The dense density matrix the oracle's realization V V^dagger +
+    diag(p) is checked against: V V^dagger of a superposition's column, a
+    one-hot or thermal diagonal, the weighted sum of a mixture's matrices,
+    and apply_damping's Kraus sum."""
+    if isinstance(state, CoherentSuperposition):
+        c, xi = oracle._terms(state)
+        v = (c[:, None] * oracle._coherent_vectors(xi, dim)).sum(axis=0)
+        return np.outer(v, v.conj())
+    n = np.arange(dim)
+    if isinstance(state, FockState):
+        return np.diag(n == state.n).astype(complex)
+    if isinstance(state, ThermalState):
+        p = state.n_th ** n / (1.0 + state.n_th) ** (n + 1)
+        return np.diag(p).astype(complex)
+    if isinstance(state, Mixture):
+        return functools.reduce(np.add, (w * _dense_matrix(s, dim)
+                                         for w, s in state.components))
+    assert isinstance(state, Decohered) and state.n_th == 0
+    return apply_damping(_dense_matrix(state.inner, dim), state.gamma_t)
 
 
 def test_damping_matches_closed_form():
@@ -270,44 +312,78 @@ def test_strided_build_matches_the_gathered_build(dim):
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
+def _gathered_kraus_table(dim, eta):
+    """The previous build of the Kraus table: index gathers and a where;
+    the reference for the Toeplitz views, which do the same arithmetic."""
+    n = np.arange(dim)
+    kc = n[:, None]
+    lg = oracle._log_factorials(dim)
+    log_sq = (lg - lg[kc] - lg[np.abs(n - kc)]
+              + (n - kc) * math.log(eta) + kc * math.log1p(-eta))
+    return np.exp(0.5 * np.where(n >= kc, log_sq, -np.inf))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 24, 117, 480])
+def test_kraus_table_equals_the_gathered_table(dim):
+    for eta in (1.0 - 1e-12, 0.99, 0.67, 0.2, 1e-300):
+        assert np.array_equal(oracle._kraus_table(dim, eta),
+                              _gathered_kraus_table(dim, eta))
+
+
 _LOSSLESS_MIX = Mixture(((0.4, FockState(2)), (0.6, cat_state(1.2, 0.5))))
+_CAT = cat_state(1.5, 0.3)
 
 
-@pytest.mark.parametrize("state, columns", [
-    (cat_state(1.5, 0.3), 1),
-    (CoherentSuperposition(((1.0, 0.8 - 0.6j),)), 1),
-    (FockState(3), 1),
-    (_LOSSLESS_MIX, 2),
-    (decohere(cat_state(1.5, 0.3), 0.4, 0.0), "dim"),
-    (decohere(_LOSSLESS_MIX, 0.4, 0.0), None),  # 2 dim columns: dense
+# the first six ids are the names these cases are recorded under
+@pytest.mark.parametrize("state", [
+    pytest.param(_CAT, id="state0-1"),
+    pytest.param(CoherentSuperposition(((1.0, 0.8 - 0.6j),)), id="state1-1"),
+    pytest.param(FockState(3), id="state2-1"),
+    pytest.param(_LOSSLESS_MIX, id="state3-2"),
+    pytest.param(decohere(_CAT, 0.4, 0.0), id="state4-dim"),
+    pytest.param(decohere(_LOSSLESS_MIX, 0.4, 0.0), id="state5-None"),
+    pytest.param(ThermalState(0.7), id="thermal"),
+    pytest.param(ThermalState(0.0), id="thermal-zero"),
+    pytest.param(decohere(ThermalState(0.6), 0.3, 0.0), id="lossy-thermal"),
+    pytest.param(decohere(decohere(_CAT, 0.3, 0.0), 0.5, 0.0),
+                 id="nested-loss"),
+    pytest.param(Mixture(((0.3, ThermalState(0.5)),
+                          (0.7, decohere(FockState(2), 0.4, 0.0)))),
+                 id="thermal-and-lossy-fock"),
 ])
-def test_factor_route_equals_dense_route(state, columns):
+def test_factor_route_equals_dense_route(state):
     a = 0.7 - 0.4j
     for dim in (24, 48):
-        v = oracle._factor(state, dim)
-        assert (v is None if columns is None
-                else v.shape == (dim, dim if columns == "dim" else columns))
         d = displacement_matrix(a, dim)
-        rho = state_to_matrix(state, dim)
-        if v is not None:
-            assert np.max(np.abs(v @ v.conj().T - rho)) == 0.0
+        rho = _dense_matrix(state, dim)
+        assert np.max(np.abs(state_to_matrix(state, dim) - rho)) <= 1e-15
         got = oracle._contract(d, *oracle._realize(state, dim))
         assert abs(got - expval(d, rho)) <= 1e-14
     dense = oracle._converge(
-        lambda dim: expval(displacement_matrix(a, dim), state_to_matrix(state, dim)),
+        lambda dim: expval(displacement_matrix(a, dim), _dense_matrix(state, dim)),
         initial_dim(state, a), oracle.CONVERGENCE_TOL)
     assert abs(oracle_chi(state, a) - dense) <= 1e-14
+
+
+@pytest.mark.parametrize("n_th", [8.0, 20.0])
+def test_oracle_chi_of_a_hot_thermal_state(n_th):
+    # n_th^n / (1 + n_th)^(n+1) overflows to inf / inf at the cutoffs these
+    # need; r^n / (1 + n_th) underflows to 0 instead
+    state = ThermalState(n_th)
+    assert abs(oracle_chi(state, 0.1) - state.chi(0.1)) <= 1e-9
 
 
 @pytest.mark.parametrize("state", [
     CoherentSuperposition(((1.0, 4.0),)),
     decohere(CoherentSuperposition(((1.0, 4.0),)), 0.1, 0.0),
+    ThermalState(2.0),
 ])
 def test_leaking_factor_raises_before_any_build(monkeypatch, state):
     builds, _ = _record_builds(monkeypatch)
     monkeypatch.setattr(oracle, "MAX_DIM", 8)
     monkeypatch.setattr(oracle, "initial_dim", lambda *args: 8)
-    assert oracle._factor(state, 8) is not None
+    v, p = oracle._realize(state, 8)  # realized: the leak is the trace's
+    assert abs(1.0 - (np.vdot(v, v).real + p.sum())) > oracle.TRACE_TOL
     with pytest.raises(TruncationError, match="dim=8 leaks"):
         oracle_chi(state, 0.3)
     assert builds == []
@@ -413,6 +489,11 @@ def test_oracle_of_a_stack_names_the_stack():
         oracle_chi(cats, 0.3)
     with pytest.raises(ValueError, match=message):
         state_to_matrix(cats, 20)
+    times = decohere(cat_state(1, 0), np.array([0.1, 0.2]), 0.0)
+    with pytest.raises(ValueError, match=message):
+        oracle_chi(times, 0.3)
+    with pytest.raises(ValueError, match=message):
+        state_to_matrix(times, 20)
 
 
 @pytest.mark.parametrize("state", [

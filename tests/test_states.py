@@ -518,3 +518,7 @@ def test_json_of_a_stack_names_the_stack():
         np.array([[[1, 0], [1, x]] for x in (1, 2, 3)]))
     with pytest.raises(ValueError, match="a stack of 3 states"):
         state_to_json(Mixture(((1.0, cats),)))
+    times = decohere(cat_state(1, 0), np.array([0.1, 0.2]), 0.0)
+    with pytest.raises(ValueError, match="a stack of 2 states has no single "
+                                         "JSON form; take one member"):
+        state_to_json(times)
