@@ -177,8 +177,8 @@ def region_scan(state: SingleModeState, grid: GridSpec, certificate: str,
     is value > threshold (default 0). For "nc2-det" / "nc2-eig" the cell is
     the real point pair (a1, a2), the Bochner matrix is taken over
     {0, a1, a2}, and detection is value <= threshold (default -0.01, the
-    practical-detectability cut). Cells that repeat a point are reported in
-    one warning per scan.
+    practical-detectability cut) on a two-axis grid. Cells that repeat a
+    point are reported in one warning per scan.
     """
     if certificate not in CERTIFICATES:
         raise ValueError(f"unknown certificate {certificate!r}")
@@ -186,6 +186,9 @@ def region_scan(state: SingleModeState, grid: GridSpec, certificate: str,
         threshold = 0.0 if certificate == "nc1" else -0.01
     elif not math.isfinite(threshold):  # NaN would detect no cell
         raise ValueError(f"threshold must be finite, got {threshold}")
+    if certificate != "nc1" and len(grid.axes) < 2:
+        raise ValueError(f"{certificate} needs a two-axis grid; a one-axis "
+                         "grid's a2 = 0 repeats the point 0 in every cell")
     axis1, axis2 = grid.cells()
     if certificate == "nc1":
         values = nc1_excess(state, axis1 + 1j * axis2)

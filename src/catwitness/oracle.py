@@ -221,22 +221,6 @@ def _checked(state, dim: int):
     return v, p
 
 
-def state_to_matrix(state: SingleModeState, dim: int) -> np.ndarray:
-    """Density matrix V V^dagger + diag(p) of a single-mode state in the
-    truncated Fock basis. Raises :class:`TruncationError` when the cutoff
-    loses more than 1e-6 of the trace; two-mode states have no dense matrix,
-    :func:`oracle_chi2` evaluates them per mode."""
-    v, p = _checked(state, dim)
-    return v @ v.conj().T + np.diag(p)
-
-
-def expval(operator: np.ndarray, rho: np.ndarray) -> complex:
-    """tr{A rho} of two square matrices of one shape."""
-    if operator.shape != rho.shape:
-        raise ValueError(f"shape mismatch: {operator.shape} vs {rho.shape}")
-    return complex(np.einsum("ij,ji->", operator, rho))
-
-
 def _contract(operator: np.ndarray, v: np.ndarray, p: np.ndarray) -> complex:
     """tr{A rho} = vdot(V, A V) + diag(A).p for rho = V V^dagger + diag(p),
     so no dim x dim density matrix is formed; the term of a V with no
@@ -260,25 +244,38 @@ def _terms(state) -> np.ndarray:
     return t.T.copy()
 
 
-def _max_amplitude(state) -> float:
+def initial_dim(state) -> int:
+    """The first cutoff d from the state alone, at which d and 2d agree
+    within tol = CONVERGENCE_TOL. D is unitary with an exact leading block,
+    so at any alpha tr{D rho} at d is within 2 |psi_tail| <= tol / 5 of its
+    limit when (sum |c_k|)^2 times the Poisson(|xi|_max^2) tail is below
+    (tol / 10)^2, and within r^d < tol / 10 for a thermal p (|n> needs
+    n + 1). Loss never raises photon numbers; mixtures, products and pairs
+    take the max over parts (two modes at most double the error)."""
+    tol = CONVERGENCE_TOL
     if isinstance(state, (CoherentSuperposition, PairSuperposition)):
-        return float(abs(_terms(state)[1:]).max())
+        # the Poisson(m) tail from d on is at most p_d / (1 - m / (d + 1))
+        # for d > m, and below 1/2 for no d <= m; log p_d is stepped in d
+        t = abs(_terms(state))
+        m, log_bound = t[1:].max() ** 2, 2 * math.log(tol / 10 / t[0].sum())
+        d, log_m = math.floor(m) + 1, math.log(m) if m else -math.inf
+        log_p = d * log_m - m - math.lgamma(d + 1)
+        while log_p - math.log1p(-m / (d + 1)) >= log_bound:
+            d += 1
+            log_p += log_m - math.log(d)
+        return d
     if isinstance(state, FockState):
-        return math.sqrt(state.n)
+        return state.n + 1
     if isinstance(state, ThermalState):
-        return math.sqrt(state.n_th)
+        r = state.n_th / (1.0 + state.n_th)
+        return math.floor(math.log(tol / 10) / math.log(r)) + 1 if r else 1
     if isinstance(state, (Mixture, TwoModeMixture)):
-        return max(_max_amplitude(s) for _, s in state.components)
+        return max(initial_dim(s) for _, s in state.components)
     if isinstance(state, Decohered):
-        return _max_amplitude(state.inner)
+        return initial_dim(state.inner)
     if isinstance(state, ProductState):
-        return max(_max_amplitude(state.left), _max_amplitude(state.right))
+        return max(initial_dim(state.left), initial_dim(state.right))
     raise TypeError(f"unknown state {type(state).__name__}")
-
-
-def initial_dim(state, *amplitudes: complex) -> int:
-    amp = max([_max_amplitude(state)] + [abs(complex(a)) for a in amplitudes])
-    return math.ceil(4.0 * amp ** 2 + 20.0)
 
 
 def _leading_blocks(amplitudes: np.ndarray):
@@ -342,7 +339,7 @@ def oracle_chi(state: SingleModeState, alpha: complex,
         v, p = _checked(state, dim)  # a leak raises before D(alpha) is built
         return _contract(blocks(dim), v, p)
 
-    return _converge(at_dim, initial_dim(state, alpha), tol)
+    return _converge(at_dim, initial_dim(state), tol)
 
 
 def _chi2_structured(state, d1, d2, dim) -> complex:
@@ -377,4 +374,4 @@ def oracle_chi2(state: TwoModeState, alpha: complex, beta: complex,
         d1, d2 = blocks(dim)
         return _chi2_structured(state, d1, d2, dim)
 
-    return _converge(at_dim, initial_dim(state, alpha, beta), tol)
+    return _converge(at_dim, initial_dim(state), tol)

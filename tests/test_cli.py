@@ -169,12 +169,12 @@ def test_chi_verify_large_cutoffs(capsys, monkeypatch):
     def no_matrix(*args):
         raise AssertionError("a matrix was built above the cap")
 
-    monkeypatch.setattr(oracle, "state_to_matrix", no_matrix)
+    # the first cutoff of cat:60 is 4175, above MAX_DIM whatever alpha is
     monkeypatch.setattr(oracle, "displacement_matrix", no_matrix)
-    code, _, err = run(capsys, "chi", "--state", "cat:40,0", "--alpha", "1",
+    code, _, err = run(capsys, "chi", "--state", "cat:60,0", "--alpha", "1",
                        "--verify")
     assert code == 2
-    assert f"MAX_DIM={oracle.MAX_DIM}" in err
+    assert f"needs dim=4175, above MAX_DIM={oracle.MAX_DIM}" in err
 
 
 def test_chi_verify_stops_at_the_first_discrepancy(capsys, monkeypatch):
@@ -269,6 +269,19 @@ def test_ncregion_non_finite_threshold_exits_2(capsys):
                              "--threshold", threshold)
         assert (code, out) == (2, "")
         assert f"threshold must be finite, got {threshold}" in err
+
+
+def test_ncregion_nc2_needs_two_axes(capsys):
+    # a2 = 0 on a one-axis grid would repeat the point 0 in every cell;
+    # nc1 reads the one axis as the real line
+    for certificate in ("nc2-det", "nc2-eig"):
+        code, out, err = run(capsys, "ncregion", "--state", "cat:1,0",
+                             "--certificate", certificate, "--grid=-1:1:0.25")
+        assert (code, out) == (2, "")
+        assert f"{certificate} needs a two-axis grid" in err
+    code, out, _ = run(capsys, "ncregion", "--state", "cat:1,0",
+                       "--certificate", "nc1", "--grid=-1:1:0.25")
+    assert code == 0 and len(out.strip().split("\n")) == 1 + 9
 
 
 def test_ncregion_csv(capsys):
@@ -517,14 +530,14 @@ CSV_CASES = [
       "--grid", "0.1:0.9:0.2,-0.85:0.95:0.3"),
      lambda: _ncregion_csv("fock:1", "0.1:0.9:0.2,-0.85:0.95:0.3", "nc2-det")),
     (("ncregion", "--state", "cat:1,0", "--certificate", "nc2-det",
-      "--grid=-1:1:0.25"),
-     lambda: _ncregion_csv("cat:1,0", "-1:1:0.25", "nc2-det")),
+      "--grid=-1:1:0.25,-0.6:0.6:0.4"),
+     lambda: _ncregion_csv("cat:1,0", "-1:1:0.25,-0.6:0.6:0.4", "nc2-det")),
     (("ncregion", "--state", "fock:2", "--certificate", "nc2-eig",
       "--grid", "0.1:0.9:0.2,-0.85:0.95:0.3"),
      lambda: _ncregion_csv("fock:2", "0.1:0.9:0.2,-0.85:0.95:0.3", "nc2-eig")),
     (("ncregion", "--state", "fock:2", "--certificate", "nc2-eig",
-      "--grid", "0.3:1.5:0.3"),
-     lambda: _ncregion_csv("fock:2", "0.3:1.5:0.3", "nc2-eig")),
+      "--grid", "0.3:1.5:0.3,-0.4:-0.4:1"),
+     lambda: _ncregion_csv("fock:2", "0.3:1.5:0.3,-0.4:-0.4:1", "nc2-eig")),
     (("decay", "--state", "cat:2,0", "--alpha", "1/0.5", "--nth", "0.3",
       "--grid", "0:2:0.25"),
      lambda: _decay_csv("cat:2,0", 1 + 0.5j, "0:2:0.25", 0.3)),

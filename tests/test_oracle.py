@@ -1,10 +1,12 @@
 import ast
+import cmath
 import functools
 import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
 from catwitness import (
@@ -24,14 +26,27 @@ from catwitness import (
 from catwitness.oracle import (
     TruncationError,
     displacement_matrix,
-    expval,
     initial_dim,
     oracle_chi,
     oracle_chi2,
-    state_to_matrix,
 )
 from catwitness.ramsey import RamseySetting, prepare_conditional
 from catwitness.states import TwoModeMixture
+
+
+def state_to_matrix(state, dim):
+    """Density matrix V V^dagger + diag(p) of the oracle's realization of a
+    single-mode state, the trace leak checked: the dense matrix that the
+    contraction vdot(V, D V) + diag(D).p is tested against."""
+    v, p = oracle._checked(state, dim)
+    return v @ v.conj().T + np.diag(p)
+
+
+def expval(operator, rho):
+    """tr{A rho} of two square matrices of one shape."""
+    if operator.shape != rho.shape:
+        raise ValueError(f"shape mismatch: {operator.shape} vs {rho.shape}")
+    return complex(np.einsum("ij,ji->", operator, rho))
 
 
 def test_log_factorial_table():
@@ -208,13 +223,16 @@ def test_oracle_chi2_matches_closed_forms():
             state.chi2(a, b), abs=1e-9)
 
 
-def test_oracle_thermal_needs_extra_dim():
-    # the amplitude-based initial dim truncates the thermal tail; the
-    # adaptive loop must recover by doubling
+def test_oracle_thermal_needs_extra_dim(monkeypatch):
+    # a first cutoff that truncates the thermal tail: cutoffs 8, 16 and 32
+    # leak more than TRACE_TOL and the adaptive loop must recover by
+    # doubling, building D once at 128 for 64 and 128
+    builds, _ = _record_builds(monkeypatch)
+    monkeypatch.setattr(oracle, "initial_dim", lambda state: 8)
     state = ThermalState(2.0)
-    assert initial_dim(state, 0.7 + 0.2j) < 40
     assert oracle_chi(state, 0.7 + 0.2j) == pytest.approx(
         0.26580295908892654, abs=1e-9)
+    assert builds == [((), 128)]
 
 
 def test_fock_chi_zero_point():
@@ -233,13 +251,13 @@ def test_truncation_error_stays_within_max_dim(monkeypatch):
     with pytest.raises(TruncationError, match="MAX_DIM=64") as exc:
         oracle_chi(FockState(1), 0.5, tol=0.0)
     assert exc.value.dim <= 64
-    with pytest.raises(TruncationError, match="needs dim=420"):
+    with pytest.raises(TruncationError, match="needs dim=208"):
         oracle_chi(cat_state(10.0, 0.0), 0.5)
     monkeypatch.setattr(oracle, "_contract",
                         lambda op, *operands: complex("nan"))
     with pytest.raises(TruncationError, match="non-finite") as exc:
         oracle_chi(FockState(1), 0.5)
-    assert exc.value.dim == 24
+    assert exc.value.dim == 2
 
 
 def test_displacement_matrix_is_the_leading_block_of_a_larger_cutoff():
@@ -361,7 +379,7 @@ def test_factor_route_equals_dense_route(state):
         assert abs(got - expval(d, rho)) <= 1e-14
     dense = oracle._converge(
         lambda dim: expval(displacement_matrix(a, dim), _dense_matrix(state, dim)),
-        initial_dim(state, a), oracle.CONVERGENCE_TOL)
+        initial_dim(state), oracle.CONVERGENCE_TOL)
     assert abs(oracle_chi(state, a) - dense) <= 1e-14
 
 
@@ -415,7 +433,7 @@ def test_convergence_run_builds_once_at_twice_the_first_cutoff(monkeypatch):
 
     monkeypatch.setattr(oracle, "_contract", contract_checked)
     state = cat_state(1.0, 0.0)
-    d = initial_dim(state, a)
+    d = initial_dim(state)
     assert oracle_chi(state, a) == pytest.approx(state.chi(a), abs=1e-9)
     assert visited == [d, 2 * d] and builds == [((), 2 * d)]
 
@@ -431,7 +449,7 @@ def test_convergence_run_builds_once_at_twice_the_first_cutoff(monkeypatch):
 
     monkeypatch.setattr(oracle, "_chi2_structured", structured_checked)
     state = entangled_cat(1.0, +1)
-    d = initial_dim(state, a, b)
+    d = initial_dim(state)
     assert oracle_chi2(state, a, b) == pytest.approx(state.chi2(a, b), abs=1e-9)
     assert visited == [d, 2 * d] and builds == [((2,), 2 * d)]
 
@@ -440,19 +458,91 @@ def test_no_build_above_max_dim(monkeypatch):
     builds, _ = _record_builds(monkeypatch)
     monkeypatch.setattr(oracle, "MAX_DIM", 64)
     # first cutoff 40: its doubling would pass MAX_DIM, so it is built alone
-    assert initial_dim(FockState(5), 0.5) == 40
+    assert initial_dim(FockState(39)) == 40
     with pytest.raises(TruncationError, match="MAX_DIM=64.*a single value"):
-        oracle_chi(FockState(5), 0.5)
+        oracle_chi(FockState(39), 0.5)
     assert builds == [((), 40)]
     builds.clear()
     with pytest.raises(TruncationError, match="MAX_DIM=64.*a single value"):
-        oracle_chi2(entangled_cat(0.5, +1), math.sqrt(5.0), 0.0)
+        oracle_chi2(ProductState(FockState(39), VACUUM), 0.5, 0.0)
     assert builds == [((2,), 40)]
     builds.clear()
     # first cutoff 24: built at 48, the run stops before 96
+    assert initial_dim(FockState(23)) == 24
     with pytest.raises(TruncationError, match="MAX_DIM=64"):
-        oracle_chi(FockState(1), 0.5, tol=0.0)
+        oracle_chi(FockState(23), 0.5, tol=0.0)
     assert builds == [((), 48)]
+
+
+def _record_cutoffs(monkeypatch):
+    """Wrap _converge to record every cutoff a convergence run evaluates."""
+    visited = []
+    real = oracle._converge
+
+    def recording(evaluate, dim, tol):
+        def evaluate_recorded(d):
+            visited.append(d)
+            return evaluate(d)
+        return real(evaluate_recorded, dim, tol)
+
+    monkeypatch.setattr(oracle, "_converge", recording)
+    return visited
+
+
+_cat = st.builds(cat_state, st.floats(0.3, 3.0), st.floats(0.0, 2 * math.pi))
+_single_mode = st.one_of(
+    _cat,
+    st.builds(cat_state, st.floats(0.01, 0.3), st.just(math.pi)),
+    st.builds(FockState, st.integers(0, 8)),
+    st.builds(ThermalState, st.one_of(st.sampled_from([8.0, 20.0]),
+                                      st.floats(0.0, 3.0))),
+    st.builds(lambda w, n, c: Mixture(((w, FockState(n)), (1 - w, c))),
+              st.floats(0.1, 0.9), st.integers(0, 3), _cat),
+    st.builds(lambda c, g: decohere(c, g, 0.0), _cat, st.floats(0.05, 2.0)),
+)
+_two_mode = st.one_of(
+    st.builds(entangled_cat, st.floats(0.3, 2.5), st.sampled_from([1, -1])),
+    st.builds(ProductState, _single_mode, _single_mode),
+    st.builds(lambda w, x, a, b: TwoModeMixture(
+        ((w, entangled_cat(x, -1)), (1 - w, ProductState(a, b)))),
+        st.floats(0.1, 0.9), st.floats(0.3, 2.0), _cat, _single_mode),
+)
+# |alpha| up to 40: the first cutoff is the state's, whatever alpha is
+_alphas = st.builds(cmath.rect, st.floats(0.0, 40.0),
+                    st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.tuples(_single_mode, _alphas),
+                 st.tuples(_two_mode, _alphas, _alphas)))
+def test_first_cutoff_converges_at_its_doubling(case):
+    # the state's tail bound makes cutoffs d and 2d agree within
+    # CONVERGENCE_TOL at any alpha: one build at 2d, values at d and 2d
+    state, *amplitudes = case
+    d = initial_dim(state)
+    with pytest.MonkeyPatch.context() as mp:
+        builds, _ = _record_builds(mp)
+        visited = _record_cutoffs(mp)
+        if len(amplitudes) == 1:
+            got, want = oracle_chi(state, *amplitudes), state.chi(*amplitudes)
+        else:
+            got, want = oracle_chi2(state, *amplitudes), state.chi2(*amplitudes)
+    assert visited == [d, 2 * d]
+    shape = () if len(amplitudes) == 1 else (2,)
+    assert builds == [(shape, 2 * d)]
+    assert abs(got - want) <= 1e-9
+
+
+@pytest.mark.parametrize("xi0, theta, alpha", [
+    (25.0, 0.0, 0.5 + 0.3j),
+    (30.0, math.pi, -1.7 + 1.2j),
+])
+def test_oracle_reaches_macroscopic_cats(xi0, theta, alpha):
+    # criterion 10's |alpha| <= 2.5 at cat amplitudes whose first cutoff
+    # (873 and 1195) doubles within MAX_DIM
+    state = cat_state(xi0, theta)
+    assert 2 * initial_dim(state) <= oracle.MAX_DIM
+    assert abs(oracle_chi(state, alpha) - state.chi(alpha)) <= 1e-8
 
 
 def test_coherent_vectors_in_one_array():
