@@ -29,13 +29,14 @@ from .states import (
 
 TRACE_TOL = 1e-6
 CONVERGENCE_TOL = 1e-9
-MAX_DIM = 4096  # largest per-mode cutoff the doubling loop builds
+MAX_DIM = 4096  # largest per-mode cutoff built: twice the first one
 _STACKED = "a stack of {} states has no oracle route; take one member"
 
 
 class TruncationError(ValueError):
-    """Raised when the Fock cutoff loses too much trace weight, or when no
-    cutoff up to MAX_DIM gives a finite, converged value."""
+    """Raised when the Fock cutoff loses too much trace weight, when its
+    doubling passes MAX_DIM, or when the two give no finite, converged
+    value."""
 
     def __init__(self, dim: int, leakage: float, reason: str | None = None):
         self.dim = dim
@@ -233,7 +234,7 @@ def _contract(operator: np.ndarray, v: np.ndarray, p: np.ndarray) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive-truncation characteristic functions
+# Characteristic functions at the state's cutoff and its doubling
 # ---------------------------------------------------------------------------
 
 def _terms(state) -> np.ndarray:
@@ -278,68 +279,45 @@ def initial_dim(state) -> int:
     raise TypeError(f"unknown state {type(state).__name__}")
 
 
-def _leading_blocks(amplitudes: np.ndarray):
-    """dim -> the (..., dim, dim) stack D(amplitudes) for one convergence
-    run. <m|D|n> does not depend on the cutoff, so D at dim is the leading
-    block of any larger build. The first cutoff that gets this far is
-    always followed by its doubling (one value never converges), so the
-    first build is made at twice its cutoff when that stays within
-    MAX_DIM; later cutoffs are built at their own size."""
-    built = None
-
-    def at_dim(dim):
-        nonlocal built
-        if built is None or built.shape[-1] < dim:
-            size = 2 * dim if built is None and 2 * dim <= MAX_DIM else dim
-            built = displacement_matrix(amplitudes, size)
-        return built[..., :dim, :dim]
-
-    return at_dim
-
-
-def _converge(evaluate, dim: int, tol: float) -> complex:
-    """evaluate(dim), doubling the per-mode cutoff until two successive
-    values agree within tol; no cutoff above MAX_DIM is built."""
-    if dim > MAX_DIM:
-        raise TruncationError(dim, math.nan,
-                              f"needs dim={dim}, above MAX_DIM={MAX_DIM}")
-    prev = None
-    while dim <= MAX_DIM:
-        tried, dim = dim, 2 * dim
-        try:
-            val = evaluate(tried)
-        except TruncationError as exc:
-            status = str(exc)
-            continue
+def _converge(state, amplitudes, at_dim) -> complex:
+    """at_dim(dim)(D(amplitudes) at dim) at d = initial_dim(state) and at 2d,
+    the 2d value when both are finite and agree within CONVERGENCE_TOL. In
+    this order: the cap on 2d, at_dim(d) and at_dim(2d) (oracle_chi's leak
+    checks), one build of D at 2d, whose leading block is D at d (<m|D|n>
+    does not depend on the cutoff), and the check."""
+    d = initial_dim(state)
+    if 2 * d > MAX_DIM:
+        raise TruncationError(2 * d, math.nan,
+                              f"first cutoff dim={d} needs dim={2 * d}, "
+                              f"above MAX_DIM={MAX_DIM}")
+    evaluators = [(dim, at_dim(dim)) for dim in (d, 2 * d)]
+    built = displacement_matrix(amplitudes, 2 * d)
+    values = [evaluate(built[..., :dim, :dim]) for dim, evaluate in evaluators]
+    for (dim, _), val in zip(evaluators, values):
         if not cmath.isfinite(val):
-            raise TruncationError(tried, math.nan,
-                                  f"dim={tried} gives the non-finite value {val}")
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        status = ("a single value" if prev is None
-                  else f"last delta {abs(val - prev):.3e} >= tol={tol:.1e}")
-        prev = val
-    raise TruncationError(tried, math.nan,
-                          f"not converged up to MAX_DIM={MAX_DIM}: last dim "
-                          f"tried {tried}, {status}")
+            raise TruncationError(dim, math.nan,
+                                  f"dim={dim} gives the non-finite value {val}")
+    delta = abs(values[1] - values[0])
+    if delta >= CONVERGENCE_TOL:
+        raise TruncationError(2 * d, math.nan,
+                              f"dim={d} and {2 * d} differ by {delta:.3e} >= "
+                              f"CONVERGENCE_TOL={CONVERGENCE_TOL:.1e}")
+    return values[1]
 
 
-def oracle_chi(state: SingleModeState, alpha: complex,
-               tol: float = CONVERGENCE_TOL) -> complex:
+def oracle_chi(state: SingleModeState, alpha: complex) -> complex:
     """chi(alpha) by direct tr{D(alpha) rho}, as vdot(V, D V) + diag(D).p
-    for rho = V V^dagger + diag(p), doubling dim until converged;
-    elementwise over an ndarray."""
+    for rho = V V^dagger + diag(p), at the state's cutoff checked against
+    its doubling; elementwise over an ndarray."""
     if isinstance(alpha, np.ndarray):
-        return np.vectorize(lambda a: oracle_chi(state, a, tol),
+        return np.vectorize(lambda a: oracle_chi(state, a),
                             otypes=[complex])(alpha)
-
-    blocks = _leading_blocks(np.array(alpha, dtype=complex))
 
     def at_dim(dim):
         v, p = _checked(state, dim)  # a leak raises before D(alpha) is built
-        return _contract(blocks(dim), v, p)
+        return lambda operator: _contract(operator, v, p)
 
-    return _converge(at_dim, initial_dim(state), tol)
+    return _converge(state, alpha, at_dim)
 
 
 def _chi2_structured(state, d1, d2, dim) -> complex:
@@ -353,25 +331,19 @@ def _chi2_structured(state, d1, d2, dim) -> complex:
         gram = (u.conj() @ d1 @ u.T) * (z.conj() @ d2 @ z.T)
         return complex(c.conj() @ gram @ c)
     if isinstance(state, ProductState):
-        return (_contract(d1, *_realize(state.left, dim))
-                * _contract(d2, *_realize(state.right, dim)))
+        return (_contract(d1, *_checked(state.left, dim))
+                * _contract(d2, *_checked(state.right, dim)))
     if isinstance(state, TwoModeMixture):
         return sum(w * _chi2_structured(s, d1, d2, dim)
                    for w, s in state.components)
     raise TypeError(f"cannot evaluate {type(state).__name__}")
 
 
-def oracle_chi2(state: TwoModeState, alpha: complex, beta: complex,
-                tol: float = CONVERGENCE_TOL) -> complex:
-    """Two-mode chi by truncated matrix elements, doubling dim until
-    converged; elementwise over ndarrays."""
+def oracle_chi2(state: TwoModeState, alpha: complex, beta: complex) -> complex:
+    """Two-mode chi by truncated matrix elements, at the state's per-mode
+    cutoff checked against its doubling; elementwise over ndarrays."""
     if isinstance(alpha, np.ndarray) or isinstance(beta, np.ndarray):
-        return np.vectorize(lambda a, b: oracle_chi2(state, a, b, tol),
+        return np.vectorize(lambda a, b: oracle_chi2(state, a, b),
                             otypes=[complex])(alpha, beta)
-    blocks = _leading_blocks(np.array([alpha, beta], dtype=complex))
-
-    def at_dim(dim):
-        d1, d2 = blocks(dim)
-        return _chi2_structured(state, d1, d2, dim)
-
-    return _converge(at_dim, initial_dim(state), tol)
+    return _converge(state, (alpha, beta),
+                     lambda dim: lambda d12: _chi2_structured(state, *d12, dim))

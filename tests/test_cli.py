@@ -169,12 +169,14 @@ def test_chi_verify_large_cutoffs(capsys, monkeypatch):
     def no_matrix(*args):
         raise AssertionError("a matrix was built above the cap")
 
-    # the first cutoff of cat:60 is 4175, above MAX_DIM whatever alpha is
+    # the first cutoff of cat:60 is 4175, its doubling above MAX_DIM
+    # whatever alpha is
     monkeypatch.setattr(oracle, "displacement_matrix", no_matrix)
     code, _, err = run(capsys, "chi", "--state", "cat:60,0", "--alpha", "1",
                        "--verify")
     assert code == 2
-    assert f"needs dim=4175, above MAX_DIM={oracle.MAX_DIM}" in err
+    assert (f"first cutoff dim=4175 needs dim=8350, above "
+            f"MAX_DIM={oracle.MAX_DIM}") in err
 
 
 def test_chi_verify_stops_at_the_first_discrepancy(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from catwitness import (
     Decohered,
     FockState,
     Mixture,
+    PairSuperposition,
     ProductState,
     ThermalState,
     cat_state,
@@ -224,15 +225,40 @@ def test_oracle_chi2_matches_closed_forms():
 
 
 def test_oracle_thermal_needs_extra_dim(monkeypatch):
-    # a first cutoff that truncates the thermal tail: cutoffs 8, 16 and 32
-    # leak more than TRACE_TOL and the adaptive loop must recover by
-    # doubling, building D once at 128 for 64 and 128
+    # a first cutoff that truncates the thermal tail leaks more than
+    # TRACE_TOL: the run names the leak and builds no D, and the state's own
+    # cutoff gives the value
+    assert oracle_chi(ThermalState(2.0), 0.7 + 0.2j) == pytest.approx(
+        0.26580295908892654, abs=1e-9)
     builds, _ = _record_builds(monkeypatch)
     monkeypatch.setattr(oracle, "initial_dim", lambda state: 8)
-    state = ThermalState(2.0)
-    assert oracle_chi(state, 0.7 + 0.2j) == pytest.approx(
-        0.26580295908892654, abs=1e-9)
-    assert builds == [((), 128)]
+    with pytest.raises(TruncationError, match="dim=8 leaks"):
+        oracle_chi(ThermalState(2.0), 0.7 + 0.2j)
+    assert builds == []
+
+
+def test_oracle_chi2_checks_the_trace_of_each_product_factor(monkeypatch):
+    # a leaking factor is named as a leak, not as a failed convergence
+    monkeypatch.setattr(oracle, "initial_dim", lambda state: 8)
+    with pytest.raises(TruncationError, match="dim=8 leaks"):
+        oracle_chi2(ProductState(ThermalState(2.0), VACUUM), 0.3, 0)
+    with pytest.raises(TruncationError, match="dim=8 leaks"):
+        oracle_chi2(ProductState(VACUUM, ThermalState(2.0)), 0.3, 0)
+
+
+def test_oracle_is_elementwise_over_arrays():
+    # an ndarray of points keeps its shape, each entry its scalar call's value
+    alpha = np.array([[0.3 + 0.1j, -0.8], [1.1j, 0.0]])
+    state = cat_state(1.2, 0.4)
+    got = oracle_chi(state, alpha)
+    assert got.shape == (2, 2) and got.dtype == complex
+    for idx in np.ndindex(alpha.shape):
+        assert got[idx] == oracle_chi(state, complex(alpha[idx]))
+    pair = entangled_cat(1.0, -1)
+    got = oracle_chi2(pair, alpha, 0.4j)
+    assert got.shape == (2, 2) and got.dtype == complex
+    for idx in np.ndindex(alpha.shape):
+        assert got[idx] == oracle_chi2(pair, complex(alpha[idx]), 0.4j)
 
 
 def test_fock_chi_zero_point():
@@ -247,12 +273,17 @@ def test_oracle_chi_large_fock_stays_finite():
 
 
 def test_truncation_error_stays_within_max_dim(monkeypatch):
+    builds, _ = _record_builds(monkeypatch)
     monkeypatch.setattr(oracle, "MAX_DIM", 64)
-    with pytest.raises(TruncationError, match="MAX_DIM=64") as exc:
-        oracle_chi(FockState(1), 0.5, tol=0.0)
-    assert exc.value.dim <= 64
-    with pytest.raises(TruncationError, match="needs dim=208"):
+    needs = "first cutoff dim=208 needs dim=416, above MAX_DIM=64"
+    with pytest.raises(TruncationError, match=needs) as exc:
         oracle_chi(cat_state(10.0, 0.0), 0.5)
+    assert exc.value.dim == 416 and builds == []
+    monkeypatch.setattr(oracle, "CONVERGENCE_TOL", 0.0)
+    differ = r"dim=2 and 4 differ by .* >= CONVERGENCE_TOL=0\.0"
+    with pytest.raises(TruncationError, match=differ) as exc:
+        oracle_chi(FockState(1), 0.5)
+    assert exc.value.dim == 4 and builds == [((), 4)]
     monkeypatch.setattr(oracle, "_contract",
                         lambda op, *operands: complex("nan"))
     with pytest.raises(TruncationError, match="non-finite") as exc:
@@ -377,9 +408,11 @@ def test_factor_route_equals_dense_route(state):
         assert np.max(np.abs(state_to_matrix(state, dim) - rho)) <= 1e-15
         got = oracle._contract(d, *oracle._realize(state, dim))
         assert abs(got - expval(d, rho)) <= 1e-14
-    dense = oracle._converge(
-        lambda dim: expval(displacement_matrix(a, dim), _dense_matrix(state, dim)),
-        initial_dim(state), oracle.CONVERGENCE_TOL)
+    def dense_at(dim):
+        rho = _dense_matrix(state, dim)
+        return lambda operator: expval(operator, rho)
+
+    dense = oracle._converge(state, a, dense_at)
     assert abs(oracle_chi(state, a) - dense) <= 1e-14
 
 
@@ -398,7 +431,7 @@ def test_oracle_chi_of_a_hot_thermal_state(n_th):
 ])
 def test_leaking_factor_raises_before_any_build(monkeypatch, state):
     builds, _ = _record_builds(monkeypatch)
-    monkeypatch.setattr(oracle, "MAX_DIM", 8)
+    monkeypatch.setattr(oracle, "MAX_DIM", 16)  # the leak raises, not the cap
     monkeypatch.setattr(oracle, "initial_dim", lambda *args: 8)
     v, p = oracle._realize(state, 8)  # realized: the leak is the trace's
     assert abs(1.0 - (np.vdot(v, v).real + p.sum())) > oracle.TRACE_TOL
@@ -457,20 +490,19 @@ def test_convergence_run_builds_once_at_twice_the_first_cutoff(monkeypatch):
 def test_no_build_above_max_dim(monkeypatch):
     builds, _ = _record_builds(monkeypatch)
     monkeypatch.setattr(oracle, "MAX_DIM", 64)
-    # first cutoff 40: its doubling would pass MAX_DIM, so it is built alone
+    # first cutoff 40: its doubling would pass MAX_DIM, so nothing is built
     assert initial_dim(FockState(39)) == 40
-    with pytest.raises(TruncationError, match="MAX_DIM=64.*a single value"):
+    needs = "first cutoff dim=40 needs dim=80, above MAX_DIM=64"
+    with pytest.raises(TruncationError, match=needs):
         oracle_chi(FockState(39), 0.5)
-    assert builds == [((), 40)]
-    builds.clear()
-    with pytest.raises(TruncationError, match="MAX_DIM=64.*a single value"):
+    with pytest.raises(TruncationError, match=needs):
         oracle_chi2(ProductState(FockState(39), VACUUM), 0.5, 0.0)
-    assert builds == [((2,), 40)]
-    builds.clear()
-    # first cutoff 24: built at 48, the run stops before 96
+    assert builds == []
+    # first cutoff 24: one build at 48 within the cap, however the check ends
     assert initial_dim(FockState(23)) == 24
-    with pytest.raises(TruncationError, match="MAX_DIM=64"):
-        oracle_chi(FockState(23), 0.5, tol=0.0)
+    monkeypatch.setattr(oracle, "CONVERGENCE_TOL", 0.0)
+    with pytest.raises(TruncationError, match="dim=24 and 48 differ by"):
+        oracle_chi(FockState(23), 0.5)
     assert builds == [((), 48)]
 
 
@@ -479,17 +511,59 @@ def _record_cutoffs(monkeypatch):
     visited = []
     real = oracle._converge
 
-    def recording(evaluate, dim, tol):
-        def evaluate_recorded(d):
-            visited.append(d)
-            return evaluate(d)
-        return real(evaluate_recorded, dim, tol)
+    def recording(state, amplitudes, at_dim):
+        def at_dim_recorded(dim):
+            evaluate = at_dim(dim)
+
+            def evaluate_recorded(operator):
+                visited.append(operator.shape[-1])
+                return evaluate(operator)
+            return evaluate_recorded
+        return real(state, amplitudes, at_dim_recorded)
 
     monkeypatch.setattr(oracle, "_converge", recording)
     return visited
 
 
+def _gaussians(rng, k):
+    """k complex Gaussian coefficients, as a list of Python complex."""
+    return (rng.normal(size=k) + 1j * rng.normal(size=k)).tolist()
+
+
+def _disc(rng, k, radius):
+    """k amplitudes uniform in the disc of this radius."""
+    return (radius * np.sqrt(rng.uniform(size=k))
+            * np.exp(2j * math.pi * rng.uniform(size=k))).tolist()
+
+
+def _random_superposition(cls, k, radius, seed):
+    """A k-term CoherentSuperposition or PairSuperposition from the seed:
+    Gaussian coefficients, amplitudes in the disc of this radius."""
+    rng = np.random.default_rng(seed)
+    modes = 2 if cls is PairSuperposition else 1
+    return cls(tuple(zip(_gaussians(rng, k),
+                         *(_disc(rng, k, radius) for _ in range(modes)))))
+
+
+def _random_conditional(seed):
+    """The 16-term pair of a Ramsey conditional preparation on two cats,
+    every parameter drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    psi = cat_state(*_disc(rng, 1, 1.6), rng.uniform(0, 2 * math.pi))
+    theta, phi0, phi = rng.uniform(0, 2 * math.pi, size=3)
+    setting = RamseySetting(phi, *_disc(rng, 1, 1.0))
+    outcome = tuple(int(o) for o in rng.choice([1, -1], size=2))
+    return prepare_conditional(psi, theta, phi0, setting, outcome)[0]
+
+
+# a random superposition's terms come from a seed, so that the search never
+# steers its coefficients into a near-degenerate cancellation
+_seeds = st.integers(0, 2 ** 32 - 1)
 _cat = st.builds(cat_state, st.floats(0.3, 3.0), st.floats(0.0, 2 * math.pi))
+_sup16 = st.builds(_random_superposition, st.just(CoherentSuperposition),
+                   st.integers(1, 16), st.floats(0.1, 2.5), _seeds)
+_lossy_fock = st.builds(lambda n, g: decohere(FockState(n), g, 0.0),
+                        st.integers(0, 30), st.floats(0.05, 2.0))
 _single_mode = st.one_of(
     _cat,
     st.builds(cat_state, st.floats(0.01, 0.3), st.just(math.pi)),
@@ -499,21 +573,39 @@ _single_mode = st.one_of(
     st.builds(lambda w, n, c: Mixture(((w, FockState(n)), (1 - w, c))),
               st.floats(0.1, 0.9), st.integers(0, 3), _cat),
     st.builds(lambda c, g: decohere(c, g, 0.0), _cat, st.floats(0.05, 2.0)),
+    _sup16,
+    st.builds(lambda w, f, c: Mixture(((w, f), (1 - w, c))),
+              st.floats(0.1, 0.9), _lossy_fock,
+              st.one_of(_cat, _sup16, _lossy_fock)),
 )
+# a nested loss has (2d)^2 columns at 2d, so it is drawn alone: as a
+# product factor it would be realized at the other factor's cutoff, up to
+# 472 for the hot thermal states
+_nested_loss = st.builds(
+    lambda c, g1, g2: decohere(decohere(c, g1, 0.0), g2, 0.0),
+    st.one_of(_cat, _sup16), st.floats(0.05, 2.0), st.floats(0.05, 2.0))
+_thermal = st.builds(ThermalState, st.floats(0.0, 3.0))
 _two_mode = st.one_of(
     st.builds(entangled_cat, st.floats(0.3, 2.5), st.sampled_from([1, -1])),
     st.builds(ProductState, _single_mode, _single_mode),
     st.builds(lambda w, x, a, b: TwoModeMixture(
         ((w, entangled_cat(x, -1)), (1 - w, ProductState(a, b)))),
         st.floats(0.1, 0.9), st.floats(0.3, 2.0), _cat, _single_mode),
+    st.builds(_random_superposition, st.just(PairSuperposition), st.just(2),
+              st.floats(0.1, 1.2), _seeds),
+    st.builds(_random_superposition, st.just(PairSuperposition), st.just(16),
+              st.floats(0.1, 0.8), _seeds),
+    st.builds(_random_conditional, _seeds),
+    st.builds(ProductState, _thermal, _single_mode),
+    st.builds(ProductState, _single_mode, _thermal),
 )
 # |alpha| up to 40: the first cutoff is the state's, whatever alpha is
 _alphas = st.builds(cmath.rect, st.floats(0.0, 40.0),
                     st.floats(0.0, 2 * math.pi))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.one_of(st.tuples(_single_mode, _alphas),
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.tuples(st.one_of(_single_mode, _nested_loss), _alphas),
                  st.tuples(_two_mode, _alphas, _alphas)))
 def test_first_cutoff_converges_at_its_doubling(case):
     # the state's tail bound makes cutoffs d and 2d agree within
