@@ -106,7 +106,8 @@ def _displacement_stack(alpha: np.ndarray, dim: int) -> np.ndarray:
     sb, sk = powers.strides
     out = mag * np.ndarray((size, dim, dim), complex, powers, (dim - 1) * sk,
                            (sb, sk, -sk))
-    out[alpha == 0] = np.eye(dim)
+    if not alpha.all():  # _polar's stand-in for a zero amplitude
+        out[alpha == 0] = np.eye(dim)
     return out.reshape(shape + (dim, dim))
 
 
@@ -114,20 +115,22 @@ def _laguerre_rows(h: np.ndarray, x: np.ndarray) -> None:
     """Rows 1.. of h[n, b, k] from row 0, in place:
     h[m+1] = ((2m+1-x+k) h[m] - root[m] h[m-1]) / root[m+1] with
     root[m, k] = sqrt(m (m+k)), as q[m] h[m] - r[m] h[m-1] from the ratio
-    tables q = (2m+1-x+k) / root[m+1] and r = root[m] / root[m+1], built
-    once, so that a step is three ufunc calls on preallocated rows. Each
-    table entry depends on (m, k, x) only, not on the cutoff."""
-    dim = h.shape[0]
+    tables q = (2m+1-x+k) / root[m+1] and r = root[m] / root[m+1] (over b
+    too), built once, so that a step is three ufunc calls on flat rows of
+    B dim. Each entry depends on (m, k, x) only, not on the cutoff."""
+    dim, size = h.shape[:2]
     n = np.arange(dim)
     root = np.sqrt(n[:, None] * (n[:, None] + n))  # root[0] = 0 drops h[-1]
     q = (((2 * n[:-1] + 1)[:, None, None] - x) + n) / root[1:, None]
-    r = root[:-1] / root[1:]
-    hn, t = list(h), np.empty_like(h[0])
-    for m in range(dim - 1):
-        nxt = hn[m + 1]
-        np.multiply(q[m], hn[m], out=nxt)
-        np.multiply(r[m], hn[m - 1], out=t)
-        np.subtract(nxt, t, out=nxt)
+    r = np.broadcast_to((root[:-1] / root[1:])[:, None], q.shape)
+    flat = (dim - 1, size * dim)  # explicit: dim = 1 has no step
+    rows, t = list(h.reshape(dim, -1)), np.empty(size * dim)
+    multiply, subtract = np.multiply, np.subtract
+    for qm, rm, prev, cur, nxt in zip(q.reshape(flat), r.reshape(flat),
+                                      rows[-1:] + rows, rows, rows[1:]):
+        multiply(qm, cur, nxt)
+        multiply(rm, prev, t)
+        subtract(nxt, t, nxt)
 
 
 def _coherent_vectors(xi, dim: int) -> np.ndarray:
@@ -182,12 +185,8 @@ def _realize(state, dim: int):
         c, xi = _terms(state)
         return (c @ _coherent_vectors(xi, dim))[:, None], np.zeros(dim)
     no_columns = np.zeros((dim, 0), complex)
-    if isinstance(state, FockState):
-        if state.n >= dim:
-            raise TruncationError(dim, 1.0)
-        p = np.zeros(dim)
-        p[state.n] = 1.0
-        return no_columns, p
+    if isinstance(state, FockState):  # n >= dim: p = 0, a leak of 1
+        return no_columns, (np.arange(dim) == state.n).astype(float)
     if isinstance(state, ThermalState):
         # r^n underflows to 0 where n_th^n / (1 + n_th)^(n+1) is inf / inf
         r = state.n_th / (1.0 + state.n_th)
@@ -213,13 +212,25 @@ def _realize(state, dim: int):
                     "matrix; two-mode states go through oracle_chi2")
 
 
-def _checked(state, dim: int):
-    """_realize(state, dim); a TruncationError where |V|^2 + sum(p) leaks."""
-    v, p = _realize(state, dim)
-    leakage = abs(1.0 - (np.vdot(v, v).real + p.sum()))
-    if leakage > TRACE_TOL:
-        raise TruncationError(dim, leakage)
+def _checked(state, *dims: int):
+    """_realize(state, dims[-1]); a TruncationError at the first n in dims
+    where |V[:n]|^2 + sum(p[:n]) leaks. Of a loss realized at 2d, the
+    leading blocks at d are P_d rho_2d P_d, what the cutoff-d block of D
+    sees; of every other state, the cutoff-d realization itself."""
+    v, p = _realize(state, dims[-1])
+    for dim in dims:
+        leakage = abs(1.0 - (np.vdot(v[:dim], v[:dim]).real + p[:dim].sum()))
+        if leakage > TRACE_TOL:
+            raise TruncationError(dim, leakage)
     return v, p
+
+
+def _at_cutoffs(state, d: int):
+    """The state realized once, leak-checked at d and 2d, as a function of D
+    at a cutoff >= 2d: [tr{D rho} at d, at 2d] on the leading blocks."""
+    v, p = _checked(state, d, 2 * d)
+    return lambda operator: [_contract(operator[:n, :n], v[:n], p[:n])
+                             for n in (d, 2 * d)]
 
 
 def _contract(operator: np.ndarray, v: np.ndarray, p: np.ndarray) -> complex:
@@ -256,15 +267,23 @@ def initial_dim(state) -> int:
     tol = CONVERGENCE_TOL
     if isinstance(state, (CoherentSuperposition, PairSuperposition)):
         # the Poisson(m) tail from d on is at most p_d / (1 - m / (d + 1))
-        # for d > m, and below 1/2 for no d <= m; log p_d is stepped in d
+        # for d > m, and below 1/2 for no d <= m; it falls in d, so its first
+        # d below the target is bracketed by doubling steps, then bisected
         t = abs(_terms(state))
         m, log_bound = t[1:].max() ** 2, 2 * math.log(tol / 10 / t[0].sum())
-        d, log_m = math.floor(m) + 1, math.log(m) if m else -math.inf
-        log_p = d * log_m - m - math.lgamma(d + 1)
-        while log_p - math.log1p(-m / (d + 1)) >= log_bound:
-            d += 1
-            log_p += log_m - math.log(d)
-        return d
+        log_m = math.log(m) if m else -math.inf
+
+        def above(d):
+            return (d * log_m - m - math.lgamma(d + 1)
+                    - math.log1p(-m / (d + 1)) >= log_bound)
+
+        lo, step = math.floor(m), 1  # the bound holds at lo + step, not at lo
+        while above(lo + step):
+            lo, step = lo + step, 2 * step
+        while step > 1:
+            step //= 2
+            lo += step if above(lo + step) else 0
+        return lo + step
     if isinstance(state, FockState):
         return state.n + 1
     if isinstance(state, ThermalState):
@@ -279,21 +298,20 @@ def initial_dim(state) -> int:
     raise TypeError(f"unknown state {type(state).__name__}")
 
 
-def _converge(state, amplitudes, at_dim) -> complex:
-    """at_dim(dim)(D(amplitudes) at dim) at d = initial_dim(state) and at 2d,
-    the 2d value when both are finite and agree within CONVERGENCE_TOL. In
-    this order: the cap on 2d, at_dim(d) and at_dim(2d) (oracle_chi's leak
-    checks), one build of D at 2d, whose leading block is D at d (<m|D|n>
-    does not depend on the cutoff), and the check."""
+def _converge(state, amplitudes, prepare) -> complex:
+    """prepare(state, d) on one build of D(amplitudes) at 2d, d the state's
+    initial_dim: the 2d value, when it and the d value are finite and agree
+    within CONVERGENCE_TOL. In this order: the cap on 2d, prepare (every
+    realization and leak check), the build, whose leading blocks are D at
+    smaller cutoffs (<m|D|n> does not depend on the cutoff), the check."""
     d = initial_dim(state)
     if 2 * d > MAX_DIM:
         raise TruncationError(2 * d, math.nan,
                               f"first cutoff dim={d} needs dim={2 * d}, "
                               f"above MAX_DIM={MAX_DIM}")
-    evaluators = [(dim, at_dim(dim)) for dim in (d, 2 * d)]
-    built = displacement_matrix(amplitudes, 2 * d)
-    values = [evaluate(built[..., :dim, :dim]) for dim, evaluate in evaluators]
-    for (dim, _), val in zip(evaluators, values):
+    evaluate = prepare(state, d)
+    values = evaluate(displacement_matrix(amplitudes, 2 * d))
+    for dim, val in zip((d, 2 * d), values):
         if not cmath.isfinite(val):
             raise TruncationError(dim, math.nan,
                                   f"dim={dim} gives the non-finite value {val}")
@@ -312,30 +330,33 @@ def oracle_chi(state: SingleModeState, alpha: complex) -> complex:
     if isinstance(alpha, np.ndarray):
         return np.vectorize(lambda a: oracle_chi(state, a),
                             otypes=[complex])(alpha)
-
-    def at_dim(dim):
-        v, p = _checked(state, dim)  # a leak raises before D(alpha) is built
-        return lambda operator: _contract(operator, v, p)
-
-    return _converge(state, alpha, at_dim)
+    return _converge(state, alpha, _at_cutoffs)
 
 
-def _chi2_structured(state, d1, d2, dim) -> complex:
-    """tr{D(alpha) x D(beta) rho} at fixed per-mode cutoff from d1 = D(alpha)
-    and d2 = D(beta), per pure/product component, so the dim^2 x dim^2
-    Kronecker matrix is never formed."""
+def _chi2_structured(state, d: int):
+    """tr{D(alpha) x D(beta) rho} at per-mode cutoffs d and 2d as a function
+    of (D(alpha), D(beta)) at 2d, per pure/product component, with no
+    dim^2 x dim^2 Kronecker matrix: a pair's coherent vectors built once, at
+    2d, and each product factor realized once, at 2 d_f for its own first
+    cutoff d_f <= d, so the product checks f_L f_R at d_f against 2 d_f."""
     if isinstance(state, PairSuperposition):
-        # sum_{k,l} c_k c_l* <u_l|d1|u_k> <z_l|d2|z_k> = c^dag (G1 o G2) c
+        # sum_{k,l} c_k c_l* <u_l|Da|u_k> <z_l|Db|z_k> = c^dag (Ga o Gb) c
         c, a, b = _terms(state)
-        u, z = _coherent_vectors(a, dim), _coherent_vectors(b, dim)
-        gram = (u.conj() @ d1 @ u.T) * (z.conj() @ d2 @ z.T)
-        return complex(c.conj() @ gram @ c)
+        u, z = _coherent_vectors(a, 2 * d), _coherent_vectors(b, 2 * d)
+        return lambda built: [complex(c.conj() @ (
+            (u[:, :n].conj() @ built[0, :n, :n] @ u[:, :n].T)
+            * (z[:, :n].conj() @ built[1, :n, :n] @ z[:, :n].T)) @ c)
+            for n in (d, 2 * d)]
     if isinstance(state, ProductState):
-        return (_contract(d1, *_checked(state.left, dim))
-                * _contract(d2, *_checked(state.right, dim)))
+        left, right = (_at_cutoffs(s, initial_dim(s))
+                       for s in (state.left, state.right))
+        return lambda built: [x * y for x, y in zip(left(built[0]),
+                                                    right(built[1]))]
     if isinstance(state, TwoModeMixture):
-        return sum(w * _chi2_structured(s, d1, d2, dim)
-                   for w, s in state.components)
+        weights, parts = zip(*[(w, _chi2_structured(s, d))
+                               for w, s in state.components])
+        return lambda built: [sum(w * val for w, val in zip(weights, vals))
+                              for vals in zip(*(f(built) for f in parts))]
     raise TypeError(f"cannot evaluate {type(state).__name__}")
 
 
@@ -345,5 +366,4 @@ def oracle_chi2(state: TwoModeState, alpha: complex, beta: complex) -> complex:
     if isinstance(alpha, np.ndarray) or isinstance(beta, np.ndarray):
         return np.vectorize(lambda a, b: oracle_chi2(state, a, b),
                             otypes=[complex])(alpha, beta)
-    return _converge(state, (alpha, beta),
-                     lambda dim: lambda d12: _chi2_structured(state, *d12, dim))
+    return _converge(state, (alpha, beta), _chi2_structured)

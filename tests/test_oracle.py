@@ -3,6 +3,7 @@ import cmath
 import functools
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,51 @@ def _gathered_displacement_stack(alpha, dim):
     return out.reshape(shape + (dim, dim))
 
 
+def _stepped_laguerre_rows(h, x):
+    """The previous recurrence step: 2-D (B, dim) row views and keyword
+    outputs, the same three ufunc calls in the same order; the reference
+    for the flat-row step, which must give the same bits."""
+    dim = h.shape[0]
+    n = np.arange(dim)
+    root = np.sqrt(n[:, None] * (n[:, None] + n))
+    q = (((2 * n[:-1] + 1)[:, None, None] - x) + n) / root[1:, None]
+    r = root[:-1] / root[1:]
+    hn, t = list(h), np.empty_like(h[0])
+    for m in range(dim - 1):
+        nxt = hn[m + 1]
+        np.multiply(q[m], hn[m], out=nxt)
+        np.multiply(r[m], hn[m - 1], out=t)
+        np.subtract(nxt, t, out=nxt)
+
+
+_AMPS = np.array([0.3 + 0.1j, -1.2 + 0.7j, 0.0, 2.5j, 1e-3, -1.5 - 2.0j])
+
+
+def _stepped_build(monkeypatch, alpha, dim):
+    """D from the previous recurrence step."""
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_laguerre_rows", _stepped_laguerre_rows)
+        return displacement_matrix(alpha, dim)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_flat_row_step_equals_the_stepped_rows(monkeypatch, size):
+    # same operations in the same order: the same D, bit for bit, at every
+    # cutoff from 1 (no step) on, with and without a zero amplitude
+    for dim in range(1, 131):
+        alpha = np.roll(_AMPS, dim)[:size]
+        assert np.array_equal(displacement_matrix(alpha, dim),
+                              _stepped_build(monkeypatch, alpha, dim))
+
+
+@pytest.mark.parametrize("alpha", [0.01j, cmath.rect(2.5, 0.8)],
+                         ids=["0.01", "2.5"])
+def test_flat_row_step_equals_the_stepped_rows_at_a_large_cutoff(
+        monkeypatch, alpha):
+    want = _stepped_build(monkeypatch, alpha, 2400)
+    assert np.array_equal(displacement_matrix(alpha, 2400), want)
+
+
 @pytest.mark.parametrize("dim", [1, 5, 45, 90, 180])
 def test_strided_build_matches_the_gathered_build(dim):
     # the ratio tables round differently from the four-call step; the
@@ -408,9 +454,12 @@ def test_factor_route_equals_dense_route(state):
         assert np.max(np.abs(state_to_matrix(state, dim) - rho)) <= 1e-15
         got = oracle._contract(d, *oracle._realize(state, dim))
         assert abs(got - expval(d, rho)) <= 1e-14
-    def dense_at(dim):
-        rho = _dense_matrix(state, dim)
-        return lambda operator: expval(operator, rho)
+    def dense_at(state, d):
+        # the run's protocol on the dense matrix at 2d: d is read on the
+        # leading blocks, P_d rho_2d P_d
+        rho = _dense_matrix(state, 2 * d)
+        return lambda operator: [expval(operator[:n, :n], rho[:n, :n])
+                                 for n in (d, 2 * d)]
 
     dense = oracle._converge(state, a, dense_at)
     assert abs(oracle_chi(state, a) - dense) <= 1e-14
@@ -453,8 +502,41 @@ def _record_builds(monkeypatch):
     return builds, real
 
 
+def _record_realizations(monkeypatch):
+    """Wrap _realize to record (state, dim) of each outermost call, not the
+    calls it makes for a mixture's components or a loss's inner state."""
+    calls, depth = [], []
+    real = oracle._realize
+
+    def recording(state, dim):
+        if not depth:
+            calls.append((state, dim))
+        depth.append(dim)
+        try:
+            return real(state, dim)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(oracle, "_realize", recording)
+    return calls
+
+
+def _record_blocks(monkeypatch):
+    """Wrap _contract to record the size of each block of D it reads."""
+    sizes = []
+    real = oracle._contract
+
+    def recording(operator, *operands):
+        sizes.append(operator.shape[0])
+        return real(operator, *operands)
+
+    monkeypatch.setattr(oracle, "_contract", recording)
+    return sizes
+
+
 def test_convergence_run_builds_once_at_twice_the_first_cutoff(monkeypatch):
     builds, real = _record_builds(monkeypatch)
+    realized = _record_realizations(monkeypatch)
     visited = []
     a, b = 0.4 + 0.2j, -0.3j
     contract = oracle._contract
@@ -469,22 +551,51 @@ def test_convergence_run_builds_once_at_twice_the_first_cutoff(monkeypatch):
     d = initial_dim(state)
     assert oracle_chi(state, a) == pytest.approx(state.chi(a), abs=1e-9)
     assert visited == [d, 2 * d] and builds == [((), 2 * d)]
+    assert realized == [(state, 2 * d)]  # one realization, read at d and 2d
 
     builds.clear()
     visited.clear()
+    realized.clear()
+    vectors = []
     chi2_structured = oracle._chi2_structured
+    coherent_vectors = oracle._coherent_vectors
 
-    def structured_checked(state, d1, d2, dim):
-        visited.append(dim)
-        assert np.array_equal(d1, real(a, dim))
-        assert np.array_equal(d2, real(b, dim))
-        return chi2_structured(state, d1, d2, dim)
+    def structured_checked(state, d):
+        visited.append(d)
+        evaluate = chi2_structured(state, d)
+
+        def checked(built):
+            assert np.array_equal(built, real(np.array([a, b]), 2 * d))
+            return evaluate(built)
+        return checked
+
+    def vectors_recorded(xi, dim):
+        vectors.append(dim)
+        return coherent_vectors(xi, dim)
 
     monkeypatch.setattr(oracle, "_chi2_structured", structured_checked)
+    monkeypatch.setattr(oracle, "_coherent_vectors", vectors_recorded)
     state = entangled_cat(1.0, +1)
     d = initial_dim(state)
     assert oracle_chi2(state, a, b) == pytest.approx(state.chi2(a, b), abs=1e-9)
-    assert visited == [d, 2 * d] and builds == [((2,), 2 * d)]
+    assert visited == [d] and builds == [((2,), 2 * d)]
+    assert vectors == [2 * d, 2 * d] and realized == []  # a pair is not
+
+    # a product: each factor realized once, at twice its own first cutoff,
+    # and read on the leading blocks of the one build's D(alpha) and D(beta)
+    monkeypatch.setattr(oracle, "_chi2_structured", chi2_structured)
+    monkeypatch.setattr(oracle, "_contract", contract)
+    builds.clear()
+    realized.clear()
+    sizes = _record_blocks(monkeypatch)
+    left, right = cat_state(1.0, 0.0), ThermalState(1.0)
+    dl, dr = initial_dim(left), initial_dim(right)
+    assert dl != dr
+    state = ProductState(left, right)
+    assert oracle_chi2(state, a, b) == pytest.approx(state.chi2(a, b), abs=1e-9)
+    assert builds == [((2,), 2 * max(dl, dr))]
+    assert realized == [(left, 2 * dl), (right, 2 * dr)]
+    assert sizes == [dl, 2 * dl, dr, 2 * dr]
 
 
 def test_no_build_above_max_dim(monkeypatch):
@@ -506,23 +617,14 @@ def test_no_build_above_max_dim(monkeypatch):
     assert builds == [((), 48)]
 
 
-def _record_cutoffs(monkeypatch):
-    """Wrap _converge to record every cutoff a convergence run evaluates."""
-    visited = []
-    real = oracle._converge
-
-    def recording(state, amplitudes, at_dim):
-        def at_dim_recorded(dim):
-            evaluate = at_dim(dim)
-
-            def evaluate_recorded(operator):
-                visited.append(operator.shape[-1])
-                return evaluate(operator)
-            return evaluate_recorded
-        return real(state, amplitudes, at_dim_recorded)
-
-    monkeypatch.setattr(oracle, "_converge", recording)
-    return visited
+def _factors(state):
+    """The single-mode states a run realizes: the state itself, or each
+    product factor of a two-mode state, in the order they are realized."""
+    if isinstance(state, ProductState):
+        return [state.left, state.right]
+    if isinstance(state, TwoModeMixture):
+        return [f for _, s in state.components for f in _factors(s)]
+    return [] if isinstance(state, PairSuperposition) else [state]
 
 
 def _gaussians(rng, k):
@@ -578,9 +680,6 @@ _single_mode = st.one_of(
               st.floats(0.1, 0.9), _lossy_fock,
               st.one_of(_cat, _sup16, _lossy_fock)),
 )
-# a nested loss has (2d)^2 columns at 2d, so it is drawn alone: as a
-# product factor it would be realized at the other factor's cutoff, up to
-# 472 for the hot thermal states
 _nested_loss = st.builds(
     lambda c, g1, g2: decohere(decohere(c, g1, 0.0), g2, 0.0),
     st.one_of(_cat, _sup16), st.floats(0.05, 2.0), st.floats(0.05, 2.0))
@@ -598,6 +697,7 @@ _two_mode = st.one_of(
     st.builds(_random_conditional, _seeds),
     st.builds(ProductState, _thermal, _single_mode),
     st.builds(ProductState, _single_mode, _thermal),
+    st.builds(ProductState, _nested_loss, _thermal),
 )
 # |alpha| up to 40: the first cutoff is the state's, whatever alpha is
 _alphas = st.builds(cmath.rect, st.floats(0.0, 40.0),
@@ -610,16 +710,24 @@ _alphas = st.builds(cmath.rect, st.floats(0.0, 40.0),
 def test_first_cutoff_converges_at_its_doubling(case):
     # the state's tail bound makes cutoffs d and 2d agree within
     # CONVERGENCE_TOL at any alpha: one build at 2d, values at d and 2d
+    # each realized state (a product's factors at their own first cutoff
+    # d_f <= d) is realized once, at 2 d_f, and read at d_f and 2 d_f
     state, *amplitudes = case
     d = initial_dim(state)
+    factors = _factors(state)
+    cutoffs = [initial_dim(f) for f in factors]
     with pytest.MonkeyPatch.context() as mp:
         builds, _ = _record_builds(mp)
-        visited = _record_cutoffs(mp)
+        realized = _record_realizations(mp)
+        visited = _record_blocks(mp)
         if len(amplitudes) == 1:
             got, want = oracle_chi(state, *amplitudes), state.chi(*amplitudes)
         else:
             got, want = oracle_chi2(state, *amplitudes), state.chi2(*amplitudes)
-    assert visited == [d, 2 * d]
+    assert [s for s, _ in realized] == factors
+    assert [dim for _, dim in realized] == [2 * n for n in cutoffs]
+    assert visited == [dim for n in cutoffs for dim in (n, 2 * n)]
+    assert max(cutoffs, default=d) <= d
     shape = () if len(amplitudes) == 1 else (2,)
     assert builds == [(shape, 2 * d)]
     assert abs(got - want) <= 1e-9
@@ -635,6 +743,54 @@ def test_oracle_reaches_macroscopic_cats(xi0, theta, alpha):
     state = cat_state(xi0, theta)
     assert 2 * initial_dim(state) <= oracle.MAX_DIM
     assert abs(oracle_chi(state, alpha) - state.chi(alpha)) <= 1e-8
+
+
+def _stepped_initial_dim(state):
+    """The previous first cutoff of a superposition: log p_d stepped in d
+    from floor(m) + 1 until the Poisson tail bound is met; the reference
+    for the bracketed bisection, which must find the same d."""
+    t = abs(oracle._terms(state))
+    m = t[1:].max() ** 2
+    log_bound = 2 * math.log(oracle.CONVERGENCE_TOL / 10 / t[0].sum())
+    d, log_m = math.floor(m) + 1, math.log(m) if m else -math.inf
+    log_p = d * log_m - m - math.lgamma(d + 1)
+    while log_p - math.log1p(-m / (d + 1)) >= log_bound:
+        d += 1
+        log_p += log_m - math.log(d)
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.builds(_random_superposition,
+              st.sampled_from([CoherentSuperposition, PairSuperposition]),
+              st.integers(1, 16),
+              st.one_of(st.floats(0.0, 40.0), st.floats(1e-300, 1e-6)),
+              _seeds),
+    st.builds(cat_state, st.floats(0.01, 40.0), st.floats(0.0, 2 * math.pi)),
+    st.just(CoherentSuperposition(((1.0, 0.0),))),
+))
+def test_bisected_first_cutoff_equals_the_stepped_one(state):
+    # up to |xi| = 40, tiny amplitudes and m = 0 (the vacuum)
+    assert initial_dim(state) == _stepped_initial_dim(state)
+
+
+@pytest.mark.parametrize("n_th, limit_mb", [(3.0, 64), (20.0, 256)])
+def test_product_factor_is_realized_at_its_own_cutoff(n_th, limit_mb):
+    # the nested loss next to a hot thermal state is realized at twice its
+    # own first cutoff, not at the thermal one's: V is (2 d_f, (2 d_f)^2),
+    # where at the thermal cutoff (472 at n_th = 20) it would take 13 GB
+    state = ProductState(
+        decohere(decohere(cat_state(1.0, 0.0), 0.3, 0.0), 0.5, 0.0),
+        ThermalState(n_th))
+    tracemalloc.start()
+    try:
+        got = oracle_chi2(state, 0.3, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(got - state.chi2(0.3, 0.2)) <= 1e-9
+    assert peak < limit_mb * 2 ** 20
 
 
 def test_coherent_vectors_in_one_array():
