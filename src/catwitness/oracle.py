@@ -123,7 +123,9 @@ def _laguerre_rows(h: np.ndarray, x: np.ndarray) -> None:
     root = np.sqrt(n[:, None] * (n[:, None] + n))  # root[0] = 0 drops h[-1]
     q = (((2 * n[:-1] + 1)[:, None, None] - x) + n) / root[1:, None]
     r = np.broadcast_to((root[:-1] / root[1:])[:, None], q.shape)
-    flat = (dim - 1, size * dim)  # explicit: dim = 1 has no step
+    # explicit, as dim = 1 has no step; r's reshape is a view for one
+    # amplitude and a copy for more
+    flat = (dim - 1, size * dim)
     rows, t = list(h.reshape(dim, -1)), np.empty(size * dim)
     multiply, subtract = np.multiply, np.subtract
     for qm, rm, prev, cur, nxt in zip(q.reshape(flat), r.reshape(flat),
@@ -212,23 +214,18 @@ def _realize(state, dim: int):
                     "matrix; two-mode states go through oracle_chi2")
 
 
-def _checked(state, *dims: int):
-    """_realize(state, dims[-1]); a TruncationError at the first n in dims
-    where |V[:n]|^2 + sum(p[:n]) leaks. Of a loss realized at 2d, the
-    leading blocks at d are P_d rho_2d P_d, what the cutoff-d block of D
-    sees; of every other state, the cutoff-d realization itself."""
-    v, p = _realize(state, dims[-1])
-    for dim in dims:
-        leakage = abs(1.0 - (np.vdot(v[:dim], v[:dim]).real + p[:dim].sum()))
-        if leakage > TRACE_TOL:
-            raise TruncationError(dim, leakage)
-    return v, p
-
-
 def _at_cutoffs(state, d: int):
-    """The state realized once, leak-checked at d and 2d, as a function of D
-    at a cutoff >= 2d: [tr{D rho} at d, at 2d] on the leading blocks."""
-    v, p = _checked(state, d, 2 * d)
+    """The state realized once, at 2d, as a function of D at a cutoff >= 2d:
+    [tr{D rho} at d, at 2d] on the leading blocks V[:n], p[:n]; first a
+    TruncationError at the first n of d, 2d where |V[:n]|^2 + sum(p[:n])
+    leaks. Of a loss the d blocks are P_d rho_2d P_d, so the d checks test
+    the lossy state's cutoff; its inner state's cutoff is checked by the
+    2d leak alone, at TRACE_TOL."""
+    v, p = _realize(state, 2 * d)
+    for n in (d, 2 * d):
+        leakage = abs(1.0 - (np.vdot(v[:n], v[:n]).real + p[:n].sum()))
+        if leakage > TRACE_TOL:
+            raise TruncationError(n, leakage)
     return lambda operator: [_contract(operator[:n, :n], v[:n], p[:n])
                              for n in (d, 2 * d)]
 
@@ -267,23 +264,15 @@ def initial_dim(state) -> int:
     tol = CONVERGENCE_TOL
     if isinstance(state, (CoherentSuperposition, PairSuperposition)):
         # the Poisson(m) tail from d on is at most p_d / (1 - m / (d + 1))
-        # for d > m, and below 1/2 for no d <= m; it falls in d, so its first
-        # d below the target is bracketed by doubling steps, then bisected
+        # for d > m, and below 1/2 for no d <= m; log p_d is stepped in d
         t = abs(_terms(state))
         m, log_bound = t[1:].max() ** 2, 2 * math.log(tol / 10 / t[0].sum())
-        log_m = math.log(m) if m else -math.inf
-
-        def above(d):
-            return (d * log_m - m - math.lgamma(d + 1)
-                    - math.log1p(-m / (d + 1)) >= log_bound)
-
-        lo, step = math.floor(m), 1  # the bound holds at lo + step, not at lo
-        while above(lo + step):
-            lo, step = lo + step, 2 * step
-        while step > 1:
-            step //= 2
-            lo += step if above(lo + step) else 0
-        return lo + step
+        d, log_m = math.floor(m) + 1, math.log(m) if m else -math.inf
+        log_p = d * log_m - m - math.lgamma(d + 1)
+        while log_p - math.log1p(-m / (d + 1)) >= log_bound:
+            d += 1
+            log_p += log_m - math.log(d)
+        return d
     if isinstance(state, FockState):
         return state.n + 1
     if isinstance(state, ThermalState):
@@ -340,13 +329,10 @@ def _chi2_structured(state, d: int):
     2d, and each product factor realized once, at 2 d_f for its own first
     cutoff d_f <= d, so the product checks f_L f_R at d_f against 2 d_f."""
     if isinstance(state, PairSuperposition):
-        # sum_{k,l} c_k c_l* <u_l|Da|u_k> <z_l|Db|z_k> = c^dag (Ga o Gb) c
         c, a, b = _terms(state)
         u, z = _coherent_vectors(a, 2 * d), _coherent_vectors(b, 2 * d)
-        return lambda built: [complex(c.conj() @ (
-            (u[:, :n].conj() @ built[0, :n, :n] @ u[:, :n].T)
-            * (z[:, :n].conj() @ built[1, :n, :n] @ z[:, :n].T)) @ c)
-            for n in (d, 2 * d)]
+        return lambda built: [_pair_contract(built[:, :n, :n], c, u[:, :n],
+                                             z[:, :n]) for n in (d, 2 * d)]
     if isinstance(state, ProductState):
         left, right = (_at_cutoffs(s, initial_dim(s))
                        for s in (state.left, state.right))
@@ -358,6 +344,14 @@ def _chi2_structured(state, d: int):
         return lambda built: [sum(w * val for w, val in zip(weights, vals))
                               for vals in zip(*(f(built) for f in parts))]
     raise TypeError(f"cannot evaluate {type(state).__name__}")
+
+
+def _pair_contract(operators, c, u, z) -> complex:
+    """sum_{k,l} c_k c_l* <u_l|Da|u_k> <z_l|Db|z_k> = c^dag (Ga o Gb) c for
+    operators (Da, Db) at one cutoff n and a pair's coherent rows u, z cut
+    to n: the pair superposition's counterpart of _contract."""
+    return complex(c.conj() @ ((u.conj() @ operators[0] @ u.T)
+                               * (z.conj() @ operators[1] @ z.T)) @ c)
 
 
 def oracle_chi2(state: TwoModeState, alpha: complex, beta: complex) -> complex:
