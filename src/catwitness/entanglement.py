@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,8 +55,11 @@ def standard_settings(xi0: float | np.ndarray, eps: float) -> Settings:
     moments are damped by exp(-|alpha_2|^2 / 2) and PPT detection of the
     cat is not promised.
     """
-    if not (np.min(xi0) if getattr(xi0, "ndim", 0) else xi0) > 0:  # or NaN
-        x = np.asarray(xi0)
+    x = np.asarray(xi0)
+    if x.dtype.kind == "c":  # not ordered: name the first non-real entry
+        raise ValueError("xi0 must be a real number > 0, got "
+                         f"{x.flat[np.argmax(x.imag != 0)]}")
+    if not (np.min(x) if x.ndim else xi0) > 0:  # or NaN
         raise ValueError(f"xi0 must be > 0, got {x[~(x > 0)][0]}")
     a1, a2 = 2.0 * xi0 + 0j, 1j * eps / (2.0 * xi0)
     return Settings(a1, a2, -a1, -a2)
@@ -136,12 +138,38 @@ def canonical_eta(w: float) -> np.ndarray:
                     dtype=complex)
 
 
-@dataclass(frozen=True)
 class WitnessDescriptor:
     """Finite sum of coefficient-weighted displacement words whose
-    expectation is real on every two-mode state."""
+    expectation is real on every two-mode state. It keeps the arrays it is
+    contracted on, and builds terms, its canonical form, on first read."""
 
-    terms: tuple[tuple[complex, Word], ...]
+    __slots__ = ("_terms", "_arrays")
+
+    def __init__(self, terms: tuple[tuple[complex, Word], ...]):
+        self._terms = tuple(terms)
+        t = np.array([(c, w.phase, w.amp1, w.amp2) for c, w in self._terms],
+                     dtype=complex).reshape(-1, 4)
+        self._arrays = (t[:, 0] * t[:, 1], t[:, 2], t[:, 3])
+
+    @classmethod
+    def _raw(cls, raw) -> WitnessDescriptor:
+        """Raw (coeff, amp1, amp2) terms, contracted in order, merged on read."""
+        wd = cls.__new__(cls)
+        wd._terms, wd._arrays = None, tuple(np.array(raw, dtype=complex).T)
+        return wd
+
+    @property
+    def terms(self) -> tuple[tuple[complex, Word], ...]:
+        if self._terms is None:
+            self._terms = _reduce_terms(zip(*(v.tolist() for v in self._arrays)))
+        return self._terms
+
+    def __eq__(self, other):
+        return (self.terms == other.terms if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.terms,))
 
     def to_json(self) -> list[dict]:
         return [{"coeff": [c.real, c.imag],
@@ -151,18 +179,15 @@ class WitnessDescriptor:
                 for c, word in self.terms]
 
 
-def _reduce_terms(raw) -> WitnessDescriptor:
+def _reduce_terms(raw) -> tuple[tuple[complex, Word], ...]:
     """Merge the (coeff, amp1, amp2) terms of equal displacement, prune
     vanishing ones and sort canonically."""
     acc = {}
     for coeff, amp1, amp2 in raw:
         key = (amp1.real, amp1.imag, amp2.real, amp2.imag)
         acc[key] = acc.get(key, 0j) + coeff
-    terms = tuple(
-        (acc[key], Word(1 + 0j, complex(key[0], key[1]),
-                        complex(key[2], key[3])))
-        for key in sorted(acc) if abs(acc[key]) > COEFF_PRUNE)
-    return WitnessDescriptor(terms)
+    return tuple((acc[k], Word(1 + 0j, complex(*k[:2]), complex(*k[2:])))
+                 for k in sorted(acc) if abs(acc[k]) > COEFF_PRUNE)
 
 
 def witness_from_eta(eta: np.ndarray, settings: Settings) -> WitnessDescriptor:
@@ -184,14 +209,13 @@ def witness_from_eta(eta: np.ndarray, settings: Settings) -> WitnessDescriptor:
     raw = [(sum(np.diag(q).tolist()), 0j, 0j)]
     for coeff, x, y in zip((q[d, c] * phase).tolist(), u.tolist(), v.tolist()):
         raw += [(coeff, x, y), (coeff.conjugate(), -x, -y)]
-    return _reduce_terms(raw)
+    return WitnessDescriptor(WitnessDescriptor._raw(raw).terms)  # merged: 73 to 18
 
 
 def _expectation(chi2, coeff, amp1, amp2):
     """sum_i coeff_i chi2(amp1_i, amp2_i), one chi2 call, which is real."""
     total = chi2(amp1, amp2) @ coeff
-    bad = abs(total.imag) > IMAG_TOL
-    if np.count_nonzero(bad):
+    if np.count_nonzero(bad := abs(total.imag) > IMAG_TOL):
         raise ArithmeticError("witness expectation has imaginary residue "
                               f"{np.asarray(total.imag)[bad][0]:g}")
     return total.real
@@ -199,9 +223,7 @@ def _expectation(chi2, coeff, amp1, amp2):
 
 def witness_expectation(state: TwoModeState, wd: WitnessDescriptor) -> float:
     """<W> on the state, one chi2 call; the imaginary residue must vanish."""
-    t = np.array([(c, w.phase, w.amp1, w.amp2) for c, w in wd.terms],
-                 dtype=complex).reshape(-1, 4)
-    return float(_expectation(state.chi2, t[:, 0] * t[:, 1], t[:, 2], t[:, 3]))
+    return float(_expectation(state.chi2, *wd._arrays))
 
 
 def _paper_terms(xi0, eps: float, w: float):
@@ -236,10 +258,10 @@ def paper_witness(xi0: float, eps: float, w: float) -> WitnessDescriptor:
     Built from the three measurement settings s1 = 2 xi0,
     s2 = i eps / (2 xi0), s3 = s2 - s1; agrees with
     witness_from_eta(canonical_eta(w), standard_settings(xi0, eps)) as an
-    operator.
+    operator, in value up to rounding: it sums its raw terms in build order.
     """
     _check_scalar(xi0, "xi0")
-    return _reduce_terms(_paper_terms(xi0, eps, w))
+    return WitnessDescriptor._raw(_paper_terms(xi0, eps, w))
 
 
 def paper_witness_curve(state: TwoModeState, xi0: np.ndarray, eps: float,

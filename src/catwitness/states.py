@@ -108,17 +108,16 @@ def _superposition(terms, modes: int):
     t = np.asarray(terms, dtype=complex)
     if t.ndim < 2 or t.shape[-1] != modes + 1:
         raise ValueError(f"a term is a coefficient and {modes} amplitude(s)")
-    ok = np.isfinite(t)
-    if not ok.all():
+    if not (ok := np.isfinite(t)).all():
         bad = tuple(np.argwhere(~ok)[0])
         raise ValueError(f"{'amplitude' if bad[-1] else 'coefficient'} must "
                          f"be finite, got {complex(t[bad])}")
-    c, x = t[..., :1], t[..., 1:]  # c as a column (..., K, 1)
-    xct = x.conj().swapaxes(-1, -2)
+    tct = t.conj().swapaxes(-1, -2)  # the row c*, then x*^T
+    c, x, xct = t[..., :1], t[..., 1:], tct[..., 1:, :]  # c a column (..., K, 1)
     g = x @ xct
     e = -0.5 * g.diagonal(0, -2, -1).real
     g += e[..., :, None] + e[..., None, :]
-    w = c * c.conj().swapaxes(-1, -2)
+    w = c * tct[..., :1, :]
     return (t, w, xct, g), (w * np.exp(g)).sum((-2, -1)).real[()]
 
 
@@ -135,14 +134,17 @@ def _coherent_sum(arrays, a, s):
     with the weights."""
     w, xct, g = arrays
     lead, (m, k) = xct.shape[:-2], xct.shape[-2:]
-    a = a.reshape((1,) * (len(lead) + 1 - a.ndim) + a.shape)  # shared points
-    shape, a = a.shape[len(lead):-1], a.reshape(a.shape[:len(lead)] + (-1, m))
+    if a.ndim <= len(lead):  # shared points
+        a = a.reshape((1,) * (len(lead) + 1 - a.ndim) + a.shape)
+    if len(shape := a.shape[len(lead):-1]) != 1:
+        a = a.reshape(a.shape[:len(lead)] + (-1, m))
     p = a @ xct  # (S, P, K)
     expo = p[..., None, :] - p.conj()[..., :, None]
     expo += g[..., None, :, :]
+    re = expo.real
     if s != 1:
-        expo.real -= (1 - s) / 2 * (abs(a) ** 2).sum(-1)[..., None, None]
-    if expo.real.max() > EXP_MAX:  # as math.exp, not a warning and inf
+        re -= (1 - s) / 2 * (abs(a) ** 2).sum(-1)[..., None, None]
+    if re.max(initial=-math.inf) > EXP_MAX:  # as math.exp, not a warning and inf
         raise OverflowError("math range error")
     e = np.exp(expo, out=expo)
     out = e.reshape(e.shape[:-2] + (k * k,)) @ w.reshape(lead + (k * k, 1))
@@ -163,7 +165,8 @@ def _normalize(state, arrays, norm_sq):
     """Renormalize to the arrays and norm of _superposition, per member."""
     t, w, xct, g = arrays
     object.__setattr__(state, "terms", _tuples(t.tolist(), norm_sq.tolist()))
-    object.__setattr__(state, "_arrays", (w / norm_sq[..., None, None], xct, g))
+    norm = norm_sq[..., None, None] if np.ndim(norm_sq) else norm_sq
+    object.__setattr__(state, "_arrays", (w / norm, xct, g))
     return state
 
 

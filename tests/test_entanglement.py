@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catwitness import (
     VACUUM,
     ProductState,
+    RamseySetting,
     Settings,
     ThermalState,
     TwoModeMixture,
+    TwoModeState,
+    WitnessDescriptor,
     canonical_eta,
     cat_state,
     entangled_cat,
@@ -18,10 +22,13 @@ from catwitness import (
     paper_witness_curve,
     partial_transpose,
     ppt_min_eig,
+    prepare_conditional,
     standard_settings,
     witness_expectation,
     witness_from_eta,
 )
+from catwitness import entanglement
+from catwitness.entanglement import COEFF_PRUNE, Word, _expectation, _paper_terms
 
 
 def test_standard_settings_geometry():
@@ -330,3 +337,112 @@ def test_witness_json_bytes_are_pinned(wd, want):
     # signed zeros included: a merged term keeps its first displacement's
     # zero signs, so the JSON bytes depend on the merge order
     assert json.dumps(wd().to_json()) == "[" + ", ".join(want) + "]"
+
+
+def reference_terms(raw):
+    """Canonical terms by the eager route: merge the raw (coeff, amp1,
+    amp2) terms of equal displacement in their order, prune vanishing
+    coefficients and sort by displacement."""
+    acc = {}
+    for coeff, amp1, amp2 in raw:
+        key = (amp1.real, amp1.imag, amp2.real, amp2.imag)
+        acc[key] = acc.get(key, 0j) + coeff
+    return tuple(
+        (acc[key], Word(1 + 0j, complex(key[0], key[1]),
+                        complex(key[2], key[3])))
+        for key in sorted(acc) if abs(acc[key]) > COEFF_PRUNE)
+
+
+def reference_expectation(state, terms):
+    """<W> contracted over canonical terms, one chi2 call."""
+    t = np.array([(c, w.phase, w.amp1, w.amp2) for c, w in terms],
+                 dtype=complex).reshape(-1, 4)
+    return float(_expectation(state.chi2, t[:, 0] * t[:, 1], t[:, 2], t[:, 3]))
+
+
+PAIR16 = prepare_conditional(cat_state(0.9, 0.4), 0.9, 0.2,
+                             RamseySetting(0.5, 0.6 + 0.3j), (-1, +1))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(xi0=st.floats(0.2, 2.5),
+       eps=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       w=st.one_of(st.just(0.5), st.floats(0.05, 0.5)))
+def test_paper_witness_contracts_its_raw_terms(xi0, eps, w):
+    # eps = 0 makes displacements coincide, so terms merge; w = 1/2 zeroes
+    # eight coefficients, which the canonical terms prune
+    want = reference_terms(_paper_terms(xi0, eps, w))
+    # == and hash on fresh descriptors, whose terms are not yet built
+    assert paper_witness(xi0, eps, w) == WitnessDescriptor(want)
+    assert hash(paper_witness(xi0, eps, w)) == hash(WitnessDescriptor(want))
+    wd = paper_witness(xi0, eps, w)
+    assert wd.terms == want
+    bound = 1e-13 * sum(abs(c) for c, _ in want)
+    assert len(PAIR16.terms) == 16
+    for state in (entangled_cat(xi0, +1), entangled_cat(xi0, -1), PAIR16,
+                  ProductState(cat_state(xi0, 0.3), ThermalState(0.4)),
+                  TwoModeMixture(((0.3, entangled_cat(xi0)),
+                                  (0.7, ProductState(VACUUM, VACUUM))))):
+        got = witness_expectation(state, wd)
+        per_term = sum(c * word.phase * state.chi2(word.amp1, word.amp2)
+                       for c, word in wd.terms)
+        assert abs(got - per_term) <= bound
+        assert abs(got - reference_expectation(state, want)) <= bound
+
+
+def test_witness_terms_are_merged_only_when_read(monkeypatch):
+    reduce_calls, chi2_calls = [], []
+    reduce_terms, chi2 = entanglement._reduce_terms, TwoModeState.chi2
+    monkeypatch.setattr(entanglement, "_reduce_terms", lambda raw: (
+        reduce_calls.append(1), reduce_terms(raw))[1])
+    monkeypatch.setattr(TwoModeState, "chi2", lambda *a: (
+        chi2_calls.append(1), chi2(*a))[1])
+    wd = paper_witness(1.1, 1.3, 0.4)
+    for state in (entangled_cat(1.1), PAIR16, TwoModeMixture(
+            ((0.5, entangled_cat(0.8)), (0.5, ProductState(VACUUM, VACUUM))))):
+        chi2_calls.clear()
+        witness_expectation(state, wd)
+        assert len(chi2_calls) == 1
+    assert reduce_calls == []
+    terms = wd.terms
+    assert len(terms) == 17 and reduce_calls == [1]
+    assert wd.terms is terms and wd.to_json() and wd == wd and hash(wd)
+    assert reduce_calls == [1]
+
+
+def test_witness_descriptor_keeps_its_api():
+    wd = paper_witness(0.9, 1.0, 0.4)
+    same = WitnessDescriptor(wd.terms)
+    assert same == wd and hash(same) == hash(wd) and same.terms == wd.terms
+    assert same.to_json() == wd.to_json()
+    assert wd != paper_witness(0.9, 1.0, 0.3)
+    assert (wd == wd.terms) is False
+    state = entangled_cat(0.9)
+    assert witness_expectation(state, same) == pytest.approx(
+        witness_expectation(state, wd), abs=1e-14)
+    for name in ("terms", "other"):
+        with pytest.raises(AttributeError):
+            setattr(wd, name, ())
+    # a word's phase enters the contraction
+    words = ((0.5 + 0j, Word(1j, 0.3 + 0j, -0.2j)),
+             (0.5 + 0j, Word(-1j, -0.3 + 0j, 0.2j)))
+    got = witness_expectation(state, WitnessDescriptor(words))
+    want = sum(c * word.phase * state.chi2(word.amp1, word.amp2)
+               for c, word in words)
+    assert got == pytest.approx(want.real, abs=1e-15)
+    assert witness_expectation(state, WitnessDescriptor(())) == 0.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: paper_witness(1 + 0.5j, 1.0, 0.4),
+    lambda: standard_settings(1 + 0.5j, 1.0),
+    lambda: standard_settings(np.array([1.0, 1 + 0.5j]), 1.0),
+    lambda: paper_witness_curve(entangled_cat(1.0), np.array([1.0, 1 + 0.5j]),
+                                1.0, 0.4),
+])
+def test_complex_xi0_is_named(build):
+    # it once raised TypeError: '>' not supported between complex and int,
+    # or, for an array, passed on its real part's ordering
+    with pytest.raises(ValueError,
+                       match=r"^xi0 must be a real number > 0, got \(1\+0\.5j\)$"):
+        build()

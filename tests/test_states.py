@@ -101,6 +101,24 @@ TWO_MODE = [entangled_cat(1.2, -1),
                             (0.5, ProductState(VACUUM, FockState(2)))))]
 
 
+@pytest.mark.parametrize("state", SINGLE_MODE + TWO_MODE,
+                         ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 2)])
+def test_zero_points_give_an_empty_complex_array(state, shape):
+    # the coherent sums once raised numpy's "zero-size array to reduction
+    # operation maximum" from their overflow check
+    points = np.empty(shape)
+    if isinstance(state, entanglement.TwoModeState):
+        values = [state.chi2(points, points)]
+    else:
+        values = [state.chi(points), state.chi_normal(points)]
+    for value in values:
+        assert value.shape == shape and value.dtype == complex
+    if isinstance(state, entanglement.TwoModeState) and shape == (0,):
+        empty = entanglement.WitnessDescriptor(())
+        assert entanglement.witness_expectation(state, empty) == 0.0
+
+
 @pytest.mark.parametrize("alpha", [0.7 - 0.4j, 0j, 1.5])
 def test_scalar_in_gives_scalar_out(alpha):
     # one array path per family, yet a scalar gives a complex scalar (a
