@@ -189,11 +189,11 @@ def cmd_chi(args) -> int:
 
 
 def cmd_ncregion(args) -> int:
-    state = _single_mode(args)
-    scan = nonclassicality.region_scan(state, _grid(args), args.certificate,
+    state, grid = _single_mode(args), _grid(args)
+    scan = nonclassicality.region_scan(state, grid, args.certificate,
                                        args.threshold)
-    _csv(args, "axis1,axis2,value,detected", scan.grid.axis_pair(),
-         scan.values, scan.detected)
+    _csv(args, "axis1,axis2,value,detected", grid.axis_pair(), scan.values,
+         scan.detected)
     return 0
 
 

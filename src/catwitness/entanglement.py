@@ -24,8 +24,8 @@ COEFF_PRUNE = 1e-14
 
 
 class Word(NamedTuple):
-    """phase * D(amp1) x D(amp2); plain data, validated where a witness
-    is built."""
+    """phase * D(amp1) x D(amp2), the word of a canonical witness term,
+    where phase is 1; plain data."""
 
     phase: complex
     amp1: complex
@@ -59,7 +59,7 @@ def standard_settings(xi0: float | np.ndarray, eps: float) -> Settings:
     if x.dtype.kind == "c":  # not ordered: name the first non-real entry
         raise ValueError("xi0 must be a real number > 0, got "
                          f"{x.flat[np.argmax(x.imag != 0)]}")
-    if not (np.min(x) if x.ndim else xi0) > 0:  # or NaN
+    if not (np.min(x, initial=math.inf) if x.ndim else xi0) > 0:  # or NaN
         raise ValueError(f"xi0 must be > 0, got {x[~(x > 0)][0]}")
     a1, a2 = 2.0 * xi0 + 0j, 1j * eps / (2.0 * xi0)
     return Settings(a1, a2, -a1, -a2)
@@ -140,28 +140,20 @@ def canonical_eta(w: float) -> np.ndarray:
 
 class WitnessDescriptor:
     """Finite sum of coefficient-weighted displacement words whose
-    expectation is real on every two-mode state. It keeps the arrays it is
-    contracted on, and builds terms, its canonical form, on first read."""
+    expectation is real on every two-mode state, from its raw
+    (coeff, amp1, amp2) terms. It keeps them in order, as the three rows
+    it is contracted on, and builds terms, its canonical form, on read."""
 
     __slots__ = ("_terms", "_arrays")
 
-    def __init__(self, terms: tuple[tuple[complex, Word], ...]):
-        self._terms = tuple(terms)
-        t = np.array([(c, w.phase, w.amp1, w.amp2) for c, w in self._terms],
-                     dtype=complex).reshape(-1, 4)
-        self._arrays = (t[:, 0] * t[:, 1], t[:, 2], t[:, 3])
-
-    @classmethod
-    def _raw(cls, raw) -> WitnessDescriptor:
-        """Raw (coeff, amp1, amp2) terms, contracted in order, merged on read."""
-        wd = cls.__new__(cls)
-        wd._terms, wd._arrays = None, tuple(np.array(raw, dtype=complex).T)
-        return wd
+    def __init__(self, raw):
+        self._terms = None
+        self._arrays = np.array(raw, dtype=complex).reshape(-1, 3).T
 
     @property
     def terms(self) -> tuple[tuple[complex, Word], ...]:
         if self._terms is None:
-            self._terms = _reduce_terms(zip(*(v.tolist() for v in self._arrays)))
+            self._terms = _reduce_terms(zip(*self._arrays.tolist()))
         return self._terms
 
     def __eq__(self, other):
@@ -209,7 +201,7 @@ def witness_from_eta(eta: np.ndarray, settings: Settings) -> WitnessDescriptor:
     raw = [(sum(np.diag(q).tolist()), 0j, 0j)]
     for coeff, x, y in zip((q[d, c] * phase).tolist(), u.tolist(), v.tolist()):
         raw += [(coeff, x, y), (coeff.conjugate(), -x, -y)]
-    return WitnessDescriptor(WitnessDescriptor._raw(raw).terms)  # merged: 73 to 18
+    return WitnessDescriptor(raw)  # 73 raw terms, merged on read
 
 
 def _expectation(chi2, coeff, amp1, amp2):
@@ -261,7 +253,7 @@ def paper_witness(xi0: float, eps: float, w: float) -> WitnessDescriptor:
     operator, in value up to rounding: it sums its raw terms in build order.
     """
     _check_scalar(xi0, "xi0")
-    return WitnessDescriptor._raw(_paper_terms(xi0, eps, w))
+    return WitnessDescriptor(_paper_terms(xi0, eps, w))
 
 
 def paper_witness_curve(state: TwoModeState, xi0: np.ndarray, eps: float,

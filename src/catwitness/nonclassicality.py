@@ -82,7 +82,7 @@ def min_eigenvalue(m: np.ndarray):
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     adjoint = m.conj().swapaxes(-1, -2)
-    if abs(m - adjoint).max() > HERMITIAN_TOL:
+    if abs(m - adjoint).max(initial=0.0) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     low = np.linalg.eigvalsh((m + adjoint) * 0.5)[..., 0]  # exactly / 2
     return float(low) if m.ndim == 2 else low
@@ -160,9 +160,6 @@ CERTIFICATES = ("nc1", "nc2-det", "nc2-eig")
 class RegionScan:
     """Per-cell certificate values over a grid, with the detection mask."""
 
-    grid: GridSpec
-    certificate: str
-    threshold: float
     axis1: np.ndarray
     axis2: np.ndarray
     values: np.ndarray
@@ -204,5 +201,4 @@ def region_scan(state: SingleModeState, grid: GridSpec, certificate: str,
         values = (_det3(m) if certificate == "nc2-det"
                   else min_eigenvalue(m))
         detected = values <= threshold
-    return RegionScan(grid, certificate, threshold, axis1, axis2, values,
-                      detected)
+    return RegionScan(axis1, axis2, values, detected)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,9 @@ def _coherent_sum(arrays, a, s):
     lead, (m, k) = xct.shape[:-2], xct.shape[-2:]
     if a.ndim <= len(lead):  # shared points
         a = a.reshape((1,) * (len(lead) + 1 - a.ndim) + a.shape)
+    if lead and any(got not in (1, want) for got, want in zip(a.shape, lead)):
+        raise ValueError(f"points with leading axes {a.shape[:len(lead)]} "
+                         f"do not match a stack of shape {lead}")
     if len(shape := a.shape[len(lead):-1]) != 1:
         a = a.reshape(a.shape[:len(lead)] + (-1, m))
     p = a @ xct  # (S, P, K)
@@ -215,8 +219,10 @@ class FockState(SingleModeState):
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        ok = not isinstance(self.n, bool) and hasattr(self.n, "__index__")
+        if not ok or (n := operator.index(self.n)) < 0:
             raise ValueError(f"Fock index must be a non-negative integer, got {self.n}")
+        object.__setattr__(self, "n", n)  # an np.int64 and the like as an int
 
     def _ordered(self, a, s):
         x, k = abs(a) ** 2, (1 - s) / 2
@@ -381,6 +387,8 @@ def entangled_cat(xi0: complex, sign: int = +1) -> PairSuperposition:
     an array xi0 gives a stack of them (see _coherent_sum)."""
     check = _check_points if getattr(xi0, "ndim", 0) else _check_scalar
     xi0 = check(xi0, "xi0")  # an array as points, a scalar as a parameter
+    if getattr(xi0, "size", 1) == 0:
+        raise ValueError(f"xi0 is empty, shape {xi0.shape}")
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     norm_sq = 2.0 + 2.0 * sign * np.exp(-4.0 * abs(xi0) ** 2)

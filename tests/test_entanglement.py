@@ -360,6 +360,11 @@ def reference_expectation(state, terms):
     return float(_expectation(state.chi2, t[:, 0] * t[:, 1], t[:, 2], t[:, 3]))
 
 
+def raw_triples(terms):
+    """(coeff, Word) terms as raw (coeff * phase, amp1, amp2) triples."""
+    return [(c * word.phase, word.amp1, word.amp2) for c, word in terms]
+
+
 PAIR16 = prepare_conditional(cat_state(0.9, 0.4), 0.9, 0.2,
                              RamseySetting(0.5, 0.6 + 0.3j), (-1, +1))[0]
 
@@ -373,8 +378,9 @@ def test_paper_witness_contracts_its_raw_terms(xi0, eps, w):
     # eight coefficients, which the canonical terms prune
     want = reference_terms(_paper_terms(xi0, eps, w))
     # == and hash on fresh descriptors, whose terms are not yet built
-    assert paper_witness(xi0, eps, w) == WitnessDescriptor(want)
-    assert hash(paper_witness(xi0, eps, w)) == hash(WitnessDescriptor(want))
+    assert paper_witness(xi0, eps, w) == WitnessDescriptor(raw_triples(want))
+    assert (hash(paper_witness(xi0, eps, w))
+            == hash(WitnessDescriptor(raw_triples(want))))
     wd = paper_witness(xi0, eps, w)
     assert wd.terms == want
     bound = 1e-13 * sum(abs(c) for c, _ in want)
@@ -397,22 +403,29 @@ def test_witness_terms_are_merged_only_when_read(monkeypatch):
         reduce_calls.append(1), reduce_terms(raw))[1])
     monkeypatch.setattr(TwoModeState, "chi2", lambda *a: (
         chi2_calls.append(1), chi2(*a))[1])
-    wd = paper_witness(1.1, 1.3, 0.4)
-    for state in (entangled_cat(1.1), PAIR16, TwoModeMixture(
-            ((0.5, entangled_cat(0.8)), (0.5, ProductState(VACUUM, VACUUM))))):
-        chi2_calls.clear()
-        witness_expectation(state, wd)
-        assert len(chi2_calls) == 1
-    assert reduce_calls == []
-    terms = wd.terms
-    assert len(terms) == 17 and reduce_calls == [1]
-    assert wd.terms is terms and wd.to_json() and wd == wd and hash(wd)
-    assert reduce_calls == [1]
+    # both builders hand over their raw terms, 17 of paper_witness and 73
+    # of witness_from_eta; each merges to 17 canonical terms
+    for build in (lambda: paper_witness(1.1, 1.3, 0.4),
+                  lambda: witness_from_eta(canonical_eta(0.4),
+                                           standard_settings(1.1, 1.3))):
+        reduce_calls.clear()
+        wd = build()
+        for state in (entangled_cat(1.1), PAIR16, TwoModeMixture(
+                ((0.5, entangled_cat(0.8)),
+                 (0.5, ProductState(VACUUM, VACUUM))))):
+            chi2_calls.clear()
+            witness_expectation(state, wd)
+            assert len(chi2_calls) == 1
+        assert reduce_calls == []
+        terms = wd.terms
+        assert len(terms) == 17 and reduce_calls == [1]
+        assert wd.terms is terms and wd.to_json() and wd == wd and hash(wd)
+        assert reduce_calls == [1]
 
 
 def test_witness_descriptor_keeps_its_api():
     wd = paper_witness(0.9, 1.0, 0.4)
-    same = WitnessDescriptor(wd.terms)
+    same = WitnessDescriptor(raw_triples(wd.terms))
     assert same == wd and hash(same) == hash(wd) and same.terms == wd.terms
     assert same.to_json() == wd.to_json()
     assert wd != paper_witness(0.9, 1.0, 0.3)
@@ -423,14 +436,34 @@ def test_witness_descriptor_keeps_its_api():
     for name in ("terms", "other"):
         with pytest.raises(AttributeError):
             setattr(wd, name, ())
-    # a word's phase enters the contraction
+    # a word's phase enters the contraction folded into its coefficient
     words = ((0.5 + 0j, Word(1j, 0.3 + 0j, -0.2j)),
              (0.5 + 0j, Word(-1j, -0.3 + 0j, 0.2j)))
-    got = witness_expectation(state, WitnessDescriptor(words))
+    phased = WitnessDescriptor(raw_triples(words))
+    got = witness_expectation(state, phased)
     want = sum(c * word.phase * state.chi2(word.amp1, word.amp2)
                for c, word in words)
     assert got == pytest.approx(want.real, abs=1e-15)
+    # and == compares operators: canonical terms have phase 1
+    assert [word.phase for _, word in phased.terms] == [1, 1]
+    assert phased == WitnessDescriptor(raw_triples(phased.terms))
     assert witness_expectation(state, WitnessDescriptor(())) == 0.0
+
+
+def test_empty_axes_give_empty_results():
+    # standard_settings and min_eigenvalue raised numpy's "zero-size array
+    # to reduction operation" on an empty axis
+    empty, product = np.array([]), ProductState(cat_state(1.0, 0.3), VACUUM)
+    settings = standard_settings(empty, 1.0)
+    assert all(np.shape(field) == (0,) for field in settings)
+    assert moments9(product, settings).shape == (0, 9, 9)
+    assert ppt_min_eig(product, settings).shape == (0,)
+    eps_axis = standard_settings(np.array([[1.0]]), empty)
+    assert ppt_min_eig(product, eps_axis).shape == (1, 0)
+    curve = paper_witness_curve(product, empty, 1.0, 0.4)
+    assert curve.shape == (0,) and curve.dtype == float
+    with pytest.raises(ValueError, match=r"xi0 is empty, shape \(0,\)"):
+        entangled_cat(empty)
 
 
 @pytest.mark.parametrize("build", [

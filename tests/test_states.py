@@ -1,6 +1,7 @@
 import ast
 import cmath
 import inspect
+import json
 import math
 import warnings
 from pathlib import Path
@@ -492,6 +493,23 @@ def test_json_fock_takes_only_an_integer():
             state_from_json({"kind": "fock", "n": n})
 
 
+def test_fock_index_is_any_integer_and_round_trips():
+    # an np.int64 was refused, and True was taken and written as "n": true,
+    # which state_from_json then rejects
+    with pytest.raises(ValueError, match="Fock index must be a non-negative "
+                                         "integer, got True"):
+        FockState(True)
+    for n in (np.int64(2), np.uint8(2), 2):
+        state = FockState(n)
+        assert type(state.n) is int and state == FockState(2)
+        data = json.loads(json.dumps(state_to_json(state)))
+        assert data == {"kind": "fock", "n": 2}
+        assert state_from_json(data) == state
+    for n in (np.True_, 2.0, np.float64(2.0), np.int64(-1)):
+        with pytest.raises(ValueError, match="Fock index must be"):
+            FockState(n)
+
+
 FOCK = {"kind": "fock", "n": 1}
 
 
@@ -524,6 +542,21 @@ def test_json_rejects_unknown_kind():
         state_from_json({"kind": "squeezed"})
     with pytest.raises(ValueError):
         state_from_json({"terms": []})
+
+
+@pytest.mark.parametrize("count", [3, 0])
+def test_stack_and_point_mismatch_is_named(count):
+    # numpy's broadcast and reshape messages did not name the cause
+    stack = entangled_cat(np.array([1.0, 2.0]))
+    points = np.zeros(count)
+    with pytest.raises(ValueError, match=rf"points with leading axes "
+                                         rf"\({count},\) do not match a "
+                                         rf"stack of shape \(2,\)"):
+        stack.chi2(points, points)
+    # points led by the stack, or by 1, and shared points still evaluate
+    for shape, want in (((2,), (2,)), ((2, count), (2, count)),
+                        ((1, count), (2, count)), ((), (2,))):
+        assert stack.chi2(np.zeros(shape), np.zeros(shape)).shape == want
 
 
 def test_json_of_a_stack_names_the_stack():
