@@ -126,8 +126,7 @@ def _kraus(phi: float, phi0: float):
 def _branch(cls, raw, outcome):
     """The normalized cls superposition of the raw terms of one outcome
     branch, and the branch probability, its squared norm."""
-    modes = 1 if cls is CoherentSuperposition else 2
-    arrays, prob = _superposition(raw, modes)
+    arrays, prob = _superposition(raw, cls._MODES)
     if prob <= ZERO_PROB:
         raise ValueError(f"outcome {outcome} has probability {prob:g}")
     return _normalize(object.__new__(cls), arrays, prob), prob

@@ -44,8 +44,7 @@ def _check_points(z, name: str = "amplitude") -> np.ndarray:
     """Evaluation points (or another array input) as a complex array, 0-d
     for a scalar, all finite; the first offending entry is named."""
     z = np.asarray(z, dtype=complex)
-    ok = np.isfinite(z)
-    if not ok.all():
+    if np.count_nonzero(ok := np.isfinite(z)) < z.size:
         raise ValueError(f"{name} must be finite, got {complex(z[~ok][0])}")
     return z
 
@@ -106,10 +105,10 @@ def _superposition(terms, modes: int):
     0 on the diagonal; the squared norm sum w e^g. Stacked terms lead each."""
     if not len(terms):
         raise ValueError("superposition needs at least one term")
-    t = np.asarray(terms, dtype=complex)
+    t = np.array(terms, dtype=complex)  # a copy: terms is built from it later
     if t.ndim < 2 or t.shape[-1] != modes + 1:
         raise ValueError(f"a term is a coefficient and {modes} amplitude(s)")
-    if not (ok := np.isfinite(t)).all():
+    if np.count_nonzero(ok := np.isfinite(t)) < t.size:
         bad = tuple(np.argwhere(~ok)[0])
         raise ValueError(f"{'amplitude' if bad[-1] else 'coefficient'} must "
                          f"be finite, got {complex(t[bad])}")
@@ -119,7 +118,7 @@ def _superposition(terms, modes: int):
     e = -0.5 * g.diagonal(0, -2, -1).real
     g += e[..., :, None] + e[..., None, :]
     w = c * tct[..., :1, :]
-    return (t, w, xct, g), (w * np.exp(g)).sum((-2, -1)).real[()]
+    return (t, w, xct, g), (w * np.exp(g)).sum((-2, -1)).real
 
 
 def _coherent_sum(arrays, a, s):
@@ -159,8 +158,6 @@ def _tuples(rows, norm_sq):
     """Term rows (one list deeper per stack axis) as tuples, renormalized."""
     if isinstance(rows[0][0], list):
         return tuple(map(_tuples, rows, norm_sq))
-    if norm_sq < DEGENERATE_NORM:
-        raise ValueError(f"degenerate superposition, squared norm {norm_sq:g}")
     scale = 1.0 / math.sqrt(norm_sq)
     return tuple((row[0] * scale, *row[1:]) for row in rows)
 
@@ -168,9 +165,12 @@ def _tuples(rows, norm_sq):
 def _normalize(state, arrays, norm_sq):
     """Renormalize to the arrays and norm of _superposition, per member."""
     t, w, xct, g = arrays
-    object.__setattr__(state, "terms", _tuples(t.tolist(), norm_sq.tolist()))
-    norm = norm_sq[..., None, None] if np.ndim(norm_sq) else norm_sq
-    object.__setattr__(state, "_arrays", (w / norm, xct, g))
+    if np.count_nonzero(bad := norm_sq < DEGENERATE_NORM):
+        raise ValueError("degenerate superposition, squared norm "
+                         f"{np.asarray(norm_sq)[bad][0]:g}")
+    norm = norm_sq[..., None, None] if norm_sq.ndim else norm_sq
+    state._raw, state._norm_sq, state._terms = t, norm_sq, None
+    state._arrays = (w / norm, xct, g)
     return state
 
 
@@ -179,6 +179,8 @@ class SingleModeState:
     _ordered(a, s), Cahill and Glauber's s-ordered e^{s|a|^2/2} chi(a), on
     points already checked here, with the Gaussian folded into its own
     exponent so that chi_N (s = 1) stays finite where e^{|a|^2/2} is not."""
+
+    __slots__ = ()
 
     def chi(self, alpha: complex) -> complex:
         """Symmetric-ordered characteristic function tr{D(alpha) rho}."""
@@ -192,6 +194,8 @@ class SingleModeState:
 class TwoModeState:
     """Base class for two-mode state descriptors; _ordered takes a (..., 2)."""
 
+    __slots__ = ()
+
     def chi2(self, alpha: complex, beta: complex) -> complex:
         """Two-mode characteristic function tr{D(alpha) x D(beta) rho}."""
         a = np.empty(np.broadcast(alpha, beta).shape + (2,), dtype=complex)
@@ -199,14 +203,38 @@ class TwoModeState:
         return _complex(self._ordered(_check_points(a), 0))
 
 
-@dataclass(frozen=True)
-class CoherentSuperposition(SingleModeState):
+class _Superposition:
+    """A pure superposition kept as the kernel arrays (w, x*^T, g) and its
+    raw terms and norm; terms, renormalized, is built on first read, and
+    ==, hash and repr go by it."""
+
+    __slots__ = ("_raw", "_norm_sq", "_terms", "_arrays")
+
+    def __init__(self, terms):
+        _normalize(self, *_superposition(terms, self._MODES))
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = _tuples(self._raw.tolist(), self._norm_sq.tolist())
+        return self._terms
+
+    def __eq__(self, other):
+        return (self.terms == other.terms if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.terms,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(terms={self.terms!r})"
+
+
+class CoherentSuperposition(_Superposition, SingleModeState):
     """Pure superposition sum_k c_k |xi_k>, renormalized at construction."""
 
-    terms: tuple[tuple[complex, complex], ...]
-
-    def __post_init__(self):
-        _normalize(self, *_superposition(self.terms, 1))
+    __slots__ = ()
+    _MODES = 1
 
     def _ordered(self, a, s):
         return _coherent_sum(self._arrays, a[..., None], s)
@@ -251,7 +279,7 @@ class ThermalState(SingleModeState):
     n_th: float
 
     def __post_init__(self):
-        _check_rate(self.n_th, "n_th")
+        object.__setattr__(self, "n_th", _check_rate(self.n_th, "n_th"))
 
     def _ordered(self, a, s):
         return _gauss(self.n_th + (1 - s) / 2, abs(a) ** 2)
@@ -264,7 +292,7 @@ class Mixture(SingleModeState):
     components: tuple[tuple[float, SingleModeState], ...]
 
     def __post_init__(self):
-        _check_weights(self.components)
+        object.__setattr__(self, "components", _check_weights(self.components))
 
     def _ordered(self, a, s):
         return sum(w * c._ordered(a, s) for w, c in self.components)
@@ -273,11 +301,13 @@ class Mixture(SingleModeState):
 def _check_weights(components):
     if not components:
         raise ValueError("mixture needs at least one component")
-    weights = [w for w, _ in components]
-    if not all(w >= 0 for w in weights):  # NaN fails too
-        raise ValueError("mixture weights must be non-negative")
-    if abs(sum(weights) - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"mixture weights sum to {sum(weights)!r}, expected 1")
+    for w, _ in components:  # NaN fails w >= 0 too
+        if np.asarray(w).dtype.kind not in "iuf" or np.ndim(w) or not w >= 0:
+            raise ValueError(f"mixture weights must be non-negative, got {w!r}")
+    components = tuple((float(w), c) for w, c in components)
+    if abs((total := sum(w for w, _ in components)) - 1.0) > WEIGHT_TOL:
+        raise ValueError(f"mixture weights sum to {total!r}, expected 1")
+    return components
 
 
 @dataclass(frozen=True)
@@ -299,8 +329,8 @@ class Decohered(SingleModeState):
     n_th: float
 
     def __post_init__(self):
-        _check_rate(self.gamma_t, "gamma_t")
-        _check_rate(self.n_th, "n_th")
+        for name in ("gamma_t", "n_th"):
+            object.__setattr__(self, name, _check_rate(getattr(self, name), name))
 
     def _ordered(self, a, s):
         loss, shrink = -np.expm1(-self.gamma_t), np.exp(-self.gamma_t / 2.0)
@@ -311,22 +341,22 @@ class Decohered(SingleModeState):
 
 
 def _check_rate(value, name: str):
-    """value, a float or an array, must be finite and >= 0 throughout;
-    the first offending element is named."""
-    value = np.asarray(value, dtype=float)
+    """value, a real number or an array, as float(s), finite and >= 0; the
+    first offending element is named. A bool or str is refused."""
+    if np.asarray(value).dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    value = np.array(value, dtype=float)  # a copy of an array
     bad = ~((value >= 0) & (value < math.inf))  # NaN fails both
     if bad.any():
         raise ValueError(f"{name} must be >= 0, got {float(value[bad][0])}")
+    return value if value.ndim else float(value)
 
 
-@dataclass(frozen=True)
-class PairSuperposition(TwoModeState):
+class PairSuperposition(_Superposition, TwoModeState):
     """Pure two-mode superposition sum_k c_k |xi_k, zeta_k>, renormalized."""
 
-    terms: tuple[tuple[complex, complex, complex], ...]
-
-    def __post_init__(self):
-        _normalize(self, *_superposition(self.terms, 2))
+    __slots__ = ()
+    _MODES = 2
 
     def _ordered(self, a, s):
         return _coherent_sum(self._arrays, a, s)
@@ -350,7 +380,7 @@ class TwoModeMixture(TwoModeState):
     components: tuple[tuple[float, TwoModeState], ...]
 
     def __post_init__(self):
-        _check_weights(self.components)
+        object.__setattr__(self, "components", _check_weights(self.components))
 
     def _ordered(self, a, s):
         return sum(w * c._ordered(a, s) for w, c in self.components)
@@ -385,8 +415,8 @@ def cat_state(xi0: complex, theta: float) -> CoherentSuperposition:
 def entangled_cat(xi0: complex, sign: int = +1) -> PairSuperposition:
     """Two-mode superposition (|xi0,xi0> + sign |-xi0,-xi0>), normalized;
     an array xi0 gives a stack of them (see _coherent_sum)."""
-    check = _check_points if getattr(xi0, "ndim", 0) else _check_scalar
-    xi0 = check(xi0, "xi0")  # an array as points, a scalar as a parameter
+    stack = getattr(xi0, "ndim", 0)  # an array as points, a scalar as a parameter
+    xi0 = (_check_points if stack else _check_scalar)(xi0, "xi0")
     if getattr(xi0, "size", 1) == 0:
         raise ValueError(f"xi0 is empty, shape {xi0.shape}")
     if sign not in (+1, -1):
@@ -394,6 +424,9 @@ def entangled_cat(xi0: complex, sign: int = +1) -> PairSuperposition:
     norm_sq = 2.0 + 2.0 * sign * np.exp(-4.0 * abs(xi0) ** 2)
     if sign < 0 and np.count_nonzero(norm_sq < DEGENERATE_NORM):
         raise ValueError("entangled cat state vanishes for sign=-1 at xi0=0")
+    if not stack:  # the terms as Python numbers, not numpy scalars
+        scale = 1.0 / math.sqrt(norm_sq)
+        return PairSuperposition(((scale, xi0, xi0), (sign * scale, -xi0, -xi0)))
     scale = 1.0 / np.sqrt(norm_sq)
     t = np.array([[scale, xi0, xi0], [sign * scale, -xi0, -xi0]])
     return PairSuperposition(t.transpose(*range(2, t.ndim), 0, 1))

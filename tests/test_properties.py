@@ -7,11 +7,12 @@ written here independently of the kernels in states.py (cmath double sums
 for coherent superpositions, scipy's eval_laguerre for Fock states, the
 closed-form Gaussians for thermal states), also at macroscopic
 amplitudes, the defining identities of chi,
-the sign of the witness on separable states, and the JSON round trip of
-every state family.
+the sign of the witness on separable states, the moment matrices against
+one chi2 call per word pair, and the JSON round trip of every state family.
 """
 
 import cmath
+import itertools
 import json
 import math
 import warnings
@@ -29,6 +30,7 @@ from catwitness import (
     Mixture,
     PairSuperposition,
     ProductState,
+    RamseySetting,
     Settings,
     ThermalState,
     TwoModeMixture,
@@ -37,8 +39,10 @@ from catwitness import (
     cat_state,
     decohere,
     entangled_cat,
+    moments4,
     moments9,
     ppt_min_eig,
+    prepare_conditional,
     region_scan,
     standard_settings,
     state_from_json,
@@ -156,6 +160,75 @@ def test_moments9_on_product_states(left, right, xi0, eps, amps):
         assert np.array_equal(m, m.conj().T)
         assert np.array_equal(np.diag(m), np.ones(9))
         assert ppt_min_eig(state, s) >= -1e-10
+
+
+PAIR16 = prepare_conditional(cat_state(0.9, 0.4), 0.9, 0.2,
+                             RamseySetting(0.5, 0.6 + 0.3j), (-1, +1))[0]
+
+
+class Recording(TwoModeState):
+    """A two-mode state that records the point count of each chi2 call."""
+
+    def __init__(self, state):
+        self.state, self.points = state, []
+
+    def _ordered(self, a, s):
+        self.points.append(a.shape[-2])
+        return self.state._ordered(a, s)
+
+
+def reference_gram_upper(state, mode1, mode2):
+    """The n(n-1)/2 upper entries <V_a^dag V_b>, a < b, of the words
+    D(x) x D(y), x in mode1 and y in mode2, each from its own chi2(u, v)
+    call at u = x_b - x_a, v = y_b - y_a, times the phase of
+    D(-x_a) D(x_b) D(-y_a) D(y_b); array entries give a stack (..., n)."""
+    words = [(x, y) for x in mode1 for y in mode2]
+    out = []
+    for (xa, ya), (xb, yb) in itertools.combinations(words, 2):
+        phase = np.exp(1j * ((np.conj(xa) * xb).imag
+                             + (np.conj(ya) * yb).imag))
+        out.append(phase * state.chi2(xb - xa, yb - ya))
+    return np.stack(out, -1)
+
+
+def assert_upper_matches(m, want):
+    rows, cols = np.triu_indices(m.shape[-1], 1)
+    got = m[..., rows, cols]
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+@SETTINGS
+@given(st.one_of(two_mode, st.just(PAIR16)),
+       st.one_of(st.builds(standard_settings, st.floats(0.3, 2.0),
+                           st.floats(0.1, 2.0)),
+                 st.builds(Settings, complexes, complexes, complexes,
+                           complexes)))
+def test_moment_matrices_evaluate_each_distinct_point_once(state, s):
+    # a word pair that repeats a mode's operator has exactly 0 displacement
+    # and phase there, so 24 of moments9's 36 word pairs and 4 of
+    # moments4's 6 are distinct points, each evaluated once
+    recording = Recording(state)
+    m = moments9(recording, s)
+    assert recording.points == [24]
+    assert_upper_matches(m, reference_gram_upper(
+        state, (0j, s.alpha1, s.alpha2), (0j, s.beta1, s.beta2)))
+    m = moments4(recording, s.alpha1, s.beta1)
+    assert recording.points == [24, 4]
+    assert_upper_matches(m, reference_gram_upper(
+        state, (0j, s.alpha1), (0j, s.beta1)))
+
+
+@SETTINGS
+@given(st.lists(st.floats(0.3, 2.0), min_size=1, max_size=3),
+       st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3),
+       st.sampled_from((1, -1)))
+def test_stacked_moments9_matches_one_chi2_call_per_word_pair(xs, eps, sign):
+    xi0, e = np.meshgrid(xs, eps, indexing="ij")
+    state, s = entangled_cat(xi0, sign), standard_settings(xi0, e)
+    m = moments9(state, s)
+    assert m.shape == xi0.shape + (9, 9)
+    assert_upper_matches(m, reference_gram_upper(
+        state, (0j, s.alpha1, s.alpha2), (0j, s.beta1, s.beta2)))
 
 
 @SETTINGS

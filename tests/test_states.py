@@ -1,8 +1,10 @@
 import ast
 import cmath
 import inspect
+import copy
 import json
 import math
+import pickle
 import warnings
 from pathlib import Path
 
@@ -19,15 +21,18 @@ from catwitness import (
     Mixture,
     PairSuperposition,
     ProductState,
+    RamseySetting,
     ThermalState,
     TwoModeMixture,
     cat_state,
+    conditional_state,
     decohere,
     entangled_cat,
+    prepare_conditional,
     state_from_json,
     state_to_json,
 )
-from catwitness import entanglement, states
+from catwitness import entanglement, ramsey, states
 from catwitness.states import _laguerre
 
 
@@ -508,6 +513,145 @@ def test_fock_index_is_any_integer_and_round_trips():
     for n in (np.True_, 2.0, np.float64(2.0), np.int64(-1)):
         with pytest.raises(ValueError, match="Fock index must be"):
             FockState(n)
+
+
+def test_rates_and_weights_are_stored_as_floats_and_round_trip():
+    # True, "1" and the like were taken and stored as given: JSON then
+    # wrote true or "1", which state_from_json refuses, and a string rate
+    # only failed when chi was evaluated
+    for bad in (True, np.True_, "1", "0.5", 1j, None):
+        with pytest.raises(ValueError, match=r"^n_th must be >= 0, got "):
+            ThermalState(bad)
+        with pytest.raises(ValueError, match=r"^gamma_t must be >= 0, got "):
+            Decohered(FockState(1), bad, 0.0)
+        with pytest.raises(ValueError, match=r"^n_th must be >= 0, got "):
+            Decohered(FockState(1), 0.5, bad)
+        with pytest.raises(ValueError, match="mixture weights must be "
+                                             "non-negative, got "):
+            Mixture(((bad, FockState(1)),))
+        with pytest.raises(ValueError, match="mixture weights must be "
+                                             "non-negative, got "):
+            TwoModeMixture(((bad, entangled_cat(1.0)),))
+    with pytest.raises(ValueError, match=r"^gamma_t must be >= 0, got array"):
+        Decohered(FockState(1), np.array(["x"]), 0.0)
+    for given_ in (1, np.int64(1), np.float32(1.0), np.float64(1.0)):
+        cases = (ThermalState(given_), Decohered(FockState(1), given_, given_),
+                 Mixture(((given_, FockState(1)),)),
+                 TwoModeMixture(((given_, entangled_cat(1.0)),)))
+        for state in cases:
+            for value in (getattr(state, "n_th", None),
+                          getattr(state, "gamma_t", None),
+                          *(w for w, _ in getattr(state, "components", ()))):
+                assert value is None or type(value) is float
+            data = json.loads(json.dumps(state_to_json(state)))
+            assert state_from_json(data) == state
+    assert ThermalState(2).n_th == 2.0
+    # an array of times is kept as a float array, a copy of the input
+    times = [0.0, 1, np.float32(0.5)]
+    state = Decohered(FockState(1), times, 0)
+    assert state.gamma_t.dtype == float and state.gamma_t.tolist() == [0, 1, 0.5]
+    source = np.array([0.1, 0.2])
+    state = Decohered(FockState(1), source, 0.0)
+    source[0] = 5.0
+    assert state.gamma_t.tolist() == [0.1, 0.2]
+
+
+# the parent of the switch to term arrays read on demand built these terms
+# at construction; repr pins every bit, signed zeros included
+PINNED_TERMS = [
+    (lambda: cat_state(1.1, 0.3),
+     "(((0.5732217323274921+0j), 0j), ((0.5476196372522442+0.169398604800191"
+     "5j), (1.1+0j)))"),
+    (lambda: entangled_cat(0.7, -1),
+     "(((0.7628736831906109+0j), (0.7+0j), (0.7+0j)), ((-0.7628736831906109+"
+     "0j), (-0.7-0j), (-0.7-0j)))"),
+    (lambda: entangled_cat(np.array([0.7, 1.2j]), -1),
+     "((((0.7628736831906109+0j), (0.7+0j), (0.7+0j)), ((-0.7628736831906109"
+     "+0j), (-0.7-0j), (-0.7-0j))), (((0.7082235072668208+0j), 1.2j, 1.2j), "
+     "((-0.7082235072668208+0j), (-0-1.2j), (-0-1.2j))))"),
+    (lambda: PairSuperposition(((1.0, 0.3 + 0.1j, -0.2), (0.5j, -0.4, 0.9j),
+                                (-0.25, 0.0, 1.1))),
+     "(((0.8946000787058048+0j), (0.3+0.1j), (-0.2+0j)), (0.4473000393529024j"
+     ", (-0.4+0j), 0.9j), ((-0.2236500196764512+0j), 0j, (1.1+0j)))"),
+]
+
+
+@pytest.mark.parametrize("build, pinned", PINNED_TERMS,
+                         ids=["cat", "entangled", "stack", "pair3"])
+def test_superposition_terms_are_built_once_on_read(monkeypatch, build,
+                                                    pinned):
+    calls, tuples = [], states._tuples
+
+    def counted(rows, norm_sq):
+        calls.append(1)
+        return tuples(rows, norm_sq)
+    monkeypatch.setattr(states, "_tuples", counted)
+    state = build()
+    assert calls == []  # construction keeps the arrays only
+    terms = state.terms
+    assert repr(terms) == pinned
+    built = len(calls)  # once, or once per stack level
+    assert state.terms is terms and len(calls) == built > 0
+    cls = type(state)
+    assert repr(state) == f"{cls.__name__}(terms={pinned})"
+    same = build()
+    assert same == state and hash(same) == hash(state) == hash((terms,))
+    assert same != cls(((1.0, *(0.2,) * cls._MODES),))
+    assert (state == terms) is False
+
+
+def test_superpositions_are_immutable_slotted_objects():
+    for state in (cat_state(1.1, 0.3), entangled_cat(0.7)):
+        assert not hasattr(state, "__dict__")
+        for name in ("terms", "chi", "other"):
+            with pytest.raises(AttributeError):
+                setattr(state, name, None)
+            with pytest.raises(AttributeError):
+                delattr(state, name)
+        # copies and pickles restore the arrays, not a renormalization
+        for clone in (copy.copy(state), copy.deepcopy(state),
+                      pickle.loads(pickle.dumps(state))):
+            assert clone == state and repr(clone.terms) == repr(state.terms)
+            assert clone.chi2(0.3, -0.2j) if isinstance(
+                clone, PairSuperposition) else clone.chi(0.3)
+    # the caller's term array is copied, so later writes do not reach terms
+    source = np.array([[1.0, 0.5], [1.0, -0.5]], dtype=complex)
+    state = CoherentSuperposition(source)
+    source[:] = 0.0
+    assert state.terms[1][1] == -0.5 and state.chi(0.0) == 1.0
+
+
+def test_stack_members_and_branches_are_their_direct_builds():
+    xs = np.array([[0.3, 1.1], [2.0, 0.7j]])
+    for sign in (1, -1):
+        stack = entangled_cat(xs, sign)
+        for row, members in zip(xs.tolist(), stack.terms):
+            for x, member in zip(row, members):
+                assert repr(member) == repr(entangled_cat(x, sign).terms)
+    # a Ramsey branch is built through _normalize on object.__new__(cls)
+    psi = cat_state(0.9, 0.4)
+    s = RamseySetting(0.5, 0.6 + 0.3j)
+    branch, _ = conditional_state(psi, s, +1)
+    u, v = ramsey._kraus(s.phi, 0.0)[1][0]
+    raw = ([(u * c, xi) for c, xi in psi.terms]
+           + [(v * c, xi) for c, xi in ramsey._displaced(psi.terms, s.alpha)])
+    direct = CoherentSuperposition(raw)
+    assert branch == direct and repr(branch) == repr(direct)
+    assert np.array_equal(branch.chi(np.array([0.3, -1j])),
+                          direct.chi(np.array([0.3, -1j])))
+    pair, _ = prepare_conditional(psi, 0.9, 0.2, s, (-1, +1))
+    assert type(pair) is PairSuperposition and len(pair.terms) == 16
+    # JSON writes terms as read, and reads back the same state
+    for state in (branch, pair, entangled_cat(1.2, -1)):
+        data = json.loads(json.dumps(state_to_json(state)))
+        assert [t["coeff"] for t in data["terms"]] == [
+            [c.real, c.imag] for c, *_ in state.terms]
+        back = state_from_json(data)
+        assert type(back) is type(state) and len(back.terms) == len(state.terms)
+        value = (back.chi2(0.3, -0.2j) - state.chi2(0.3, -0.2j)
+                 if isinstance(state, PairSuperposition)
+                 else back.chi(0.3) - state.chi(0.3))
+        assert abs(value) <= 1e-15
 
 
 FOCK = {"kind": "fock", "n": 1}
