@@ -11,15 +11,13 @@ yields a linear witness that needs only eight independent correlations.
 from __future__ import annotations
 
 import cmath
-import functools
-import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .nonclassicality import _hermitian, _triu, min_eigenvalue
-from .states import TwoModeState, _check_points, _check_scalar
+from .states import TwoModeState, _check_points, _check_scalar, _Terms
 
 IMAG_TOL = 1e-10
 COEFF_PRUNE = 1e-14
@@ -77,25 +75,16 @@ def _columns(values):
     return out
 
 
-@functools.cache
-def _gram_index(n1: int, n2: int):
-    """The word indices (mode, a or b, point) of the distinct points of the
-    word pairs a < b, and each pair's point. A pair that repeats a mode's
-    operator has exactly 0 displacement and phase there: index 0 for all."""
-    i, j = np.divmod(_triu(n1 * n2)[:2], n2)  # [a, b] // n2 and % n2
-    i, j = i * (i[0] != i[1]), j * (j[0] != j[1])  # a repeat as 0, 0
-    keys, pair = np.unique(np.concatenate((i, j)), axis=1, return_inverse=True)
-    return np.array((keys[:2], n1 + keys[2:])), pair.reshape(-1)
-
-
 def _gram_words(mode1, mode2):
-    """(phase, u, v) arrays with V_a^dag V_b = phase D(u) x D(v) at each
-    distinct point of the word pairs a < b (see _gram_index), over the
-    words V = D(x) x D(y), x in mode1 and y in mode2, word index
+    """(phase, u, v) arrays with V_a^dag V_b = phase D(u) x D(v) for the
+    word pairs a < b in np.triu_indices order, over the words
+    V = D(x) x D(y), x in mode1 and y in mode2, word index
     a = len(mode2) i + j. Mode entries may be arrays of one broadcast
     shape, which then leads the returned arrays."""
-    # one gather of [[x_a, x_b], [y_a, y_b]]: (..., mode, a or b, point)
-    w = _columns((*mode1, *mode2))[..., _gram_index(len(mode1), len(mode2))[0]]
+    n1, n2 = len(mode1), len(mode2)
+    i, j = np.divmod(_triu(n1 * n2)[:2], n2)  # [a, b] // n2 and % n2
+    # one gather of [[x_a, x_b], [y_a, y_b]]: (..., mode, a or b, pair)
+    w = _columns((*mode1, *mode2))[..., np.array((i, n1 + j))]
     first, second = w[..., 0, :], w[..., 1, :]
     # D(-x_a) D(x_b) = e^{i Im(-x_a x_b*)} D(x_b - x_a), per mode
     im = first.real * second.imag - first.imag * second.real
@@ -106,12 +95,9 @@ def _gram_words(mode1, mode2):
 
 def _gram(chi2, mode1, mode2) -> np.ndarray:
     """Gram matrix <V_a^dag V_b> over the words of _gram_words, with one
-    chi2(u, v) = <D(u) x D(v)> call over its distinct points, gathered
-    into the upper triangle."""
-    n1, n2 = len(mode1), len(mode2)
+    chi2(u, v) = <D(u) x D(v)> call over the upper triangle only."""
     phase, u, v = _gram_words(mode1, mode2)
-    pair = _gram_index(n1, n2)[1]
-    return _hermitian((phase * chi2(u, v))[..., pair], n1 * n2)
+    return _hermitian(phase * chi2(u, v), len(mode1) * len(mode2))
 
 
 def _modes(settings: Settings):
@@ -154,31 +140,21 @@ def canonical_eta(w: float) -> np.ndarray:
                     dtype=complex)
 
 
-class WitnessDescriptor:
+class WitnessDescriptor(_Terms):
     """Finite sum of coefficient-weighted displacement words whose
     expectation is real on every two-mode state, from its raw
     (coeff, amp1, amp2) terms. It keeps them in order, as the three rows
     it is contracted on, and builds terms, its canonical form, on read."""
 
-    __slots__ = ("_terms", "_arrays")
+    __slots__ = ("_arrays",)
 
     def __init__(self, raw):
-        self._terms = None
-        self._arrays = np.fromiter(itertools.chain.from_iterable(raw),
-                                   complex).reshape(-1, 3).T
+        object.__setattr__(self, "_terms", None)
+        object.__setattr__(self, "_arrays",
+                           np.array(raw, dtype=complex).reshape(-1, 3).T)
 
-    @property
-    def terms(self) -> tuple[tuple[complex, Word], ...]:
-        if self._terms is None:
-            self._terms = _reduce_terms(zip(*self._arrays.tolist()))
-        return self._terms
-
-    def __eq__(self, other):
-        return (self.terms == other.terms if other.__class__ is self.__class__
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash((self.terms,))
+    def _read_terms(self) -> tuple[tuple[complex, Word], ...]:
+        return _reduce_terms(zip(*self._arrays.tolist()))
 
     def to_json(self) -> list[dict]:
         return [{"coeff": [c.real, c.imag],
@@ -214,8 +190,7 @@ def witness_from_eta(eta: np.ndarray, settings: Settings) -> WitnessDescriptor:
     # are Hermitian each word pair c < d adds Q_dc M_cd and its conjugate
     q = partial_transpose(np.outer(eta, eta.conj()))
     c, d, _ = _triu(9)
-    pair = _gram_index(3, 3)[1]
-    phase, u, v = (x[pair] for x in _gram_words(*_modes(settings)))
+    phase, u, v = _gram_words(*_modes(settings))
     raw = [(sum(np.diag(q).tolist()), 0j, 0j)]
     for coeff, x, y in zip((q[d, c] * phase).tolist(), u.tolist(), v.tolist()):
         raw += [(coeff, x, y), (coeff.conjugate(), -x, -y)]

@@ -44,7 +44,7 @@ def _check_points(z, name: str = "amplitude") -> np.ndarray:
     """Evaluation points (or another array input) as a complex array, 0-d
     for a scalar, all finite; the first offending entry is named."""
     z = np.asarray(z, dtype=complex)
-    if np.count_nonzero(ok := np.isfinite(z)) < z.size:
+    if np.count_nonzero(ok := np.isfinite(z)) < z.size:  # faster than .all()
         raise ValueError(f"{name} must be finite, got {complex(z[~ok][0])}")
     return z
 
@@ -118,7 +118,7 @@ def _superposition(terms, modes: int):
     e = -0.5 * g.diagonal(0, -2, -1).real
     g += e[..., :, None] + e[..., None, :]
     w = c * tct[..., :1, :]
-    return (t, w, xct, g), (w * np.exp(g)).sum((-2, -1)).real
+    return (t, w, xct, g), (w * np.exp(g)).sum((-2, -1)).real[()]
 
 
 def _coherent_sum(arrays, a, s):
@@ -169,9 +169,42 @@ def _normalize(state, arrays, norm_sq):
         raise ValueError("degenerate superposition, squared norm "
                          f"{np.asarray(norm_sq)[bad][0]:g}")
     norm = norm_sq[..., None, None] if norm_sq.ndim else norm_sq
-    state._raw, state._norm_sq, state._terms = t, norm_sq, None
-    state._arrays = (w / norm, xct, g)
+    for name, value in (("_raw", t), ("_norm_sq", norm_sq), ("_terms", None),
+                        ("_arrays", (w / norm, xct, g))):
+        object.__setattr__(state, name, value)
     return state
+
+
+class _Terms:
+    """An immutable object that builds its terms, by _read_terms, on first
+    read, and is compared, hashed and shown by them."""
+
+    __slots__ = ("_terms",)
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            object.__setattr__(self, "_terms", self._read_terms())
+        return self._terms
+
+    def __eq__(self, other):
+        return (self.terms == other.terms if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.terms,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(terms={self.terms!r})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{self.__class__.__qualname__} is immutable")
+
+    __delattr__ = __setattr__  # called as (self, name)
+
+    def __setstate__(self, state):  # copies and pickles restore the slots
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 class SingleModeState:
@@ -203,31 +236,17 @@ class TwoModeState:
         return _complex(self._ordered(_check_points(a), 0))
 
 
-class _Superposition:
+class _Superposition(_Terms):
     """A pure superposition kept as the kernel arrays (w, x*^T, g) and its
-    raw terms and norm; terms, renormalized, is built on first read, and
-    ==, hash and repr go by it."""
+    raw terms and norm; terms, renormalized, is built from them on read."""
 
-    __slots__ = ("_raw", "_norm_sq", "_terms", "_arrays")
+    __slots__ = ("_raw", "_norm_sq", "_arrays")
 
     def __init__(self, terms):
         _normalize(self, *_superposition(terms, self._MODES))
 
-    @property
-    def terms(self):
-        if self._terms is None:
-            self._terms = _tuples(self._raw.tolist(), self._norm_sq.tolist())
-        return self._terms
-
-    def __eq__(self, other):
-        return (self.terms == other.terms if other.__class__ is self.__class__
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash((self.terms,))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(terms={self.terms!r})"
+    def _read_terms(self):
+        return _tuples(self._raw.tolist(), self._norm_sq.tolist())
 
 
 class CoherentSuperposition(_Superposition, SingleModeState):

@@ -448,6 +448,9 @@ def test_witness_descriptor_keeps_its_api():
     assert [word.phase for _, word in phased.terms] == [1, 1]
     assert phased == WitnessDescriptor(raw_triples(phased.terms))
     assert witness_expectation(state, WitnessDescriptor(())) == 0.0
+    # a raw term is three numbers: ragged terms are refused, not regrouped
+    with pytest.raises(ValueError):
+        WitnessDescriptor([(1, 0, 0, 0), (1, 0)])
 
 
 def test_empty_axes_give_empty_results():

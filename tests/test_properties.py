@@ -203,17 +203,16 @@ def assert_upper_matches(m, want):
                            st.floats(0.1, 2.0)),
                  st.builds(Settings, complexes, complexes, complexes,
                            complexes)))
-def test_moment_matrices_evaluate_each_distinct_point_once(state, s):
-    # a word pair that repeats a mode's operator has exactly 0 displacement
-    # and phase there, so 24 of moments9's 36 word pairs and 4 of
-    # moments4's 6 are distinct points, each evaluated once
+def test_moment_matrices_match_one_chi2_call_per_word_pair(state, s):
+    # one chi2 call over the 36 word pairs a < b of moments9, and the 6 of
+    # moments4
     recording = Recording(state)
     m = moments9(recording, s)
-    assert recording.points == [24]
+    assert recording.points == [36]
     assert_upper_matches(m, reference_gram_upper(
         state, (0j, s.alpha1, s.alpha2), (0j, s.beta1, s.beta2)))
     m = moments4(recording, s.alpha1, s.beta1)
-    assert recording.points == [24, 4]
+    assert recording.points == [36, 6]
     assert_upper_matches(m, reference_gram_upper(
         state, (0j, s.alpha1), (0j, s.beta1)))
 

@@ -28,9 +28,11 @@ from catwitness import (
     conditional_state,
     decohere,
     entangled_cat,
+    paper_witness,
     prepare_conditional,
     state_from_json,
     state_to_json,
+    witness_expectation,
 )
 from catwitness import entanglement, ramsey, states
 from catwitness.states import _laguerre
@@ -600,20 +602,30 @@ def test_superposition_terms_are_built_once_on_read(monkeypatch, build,
     assert (state == terms) is False
 
 
-def test_superpositions_are_immutable_slotted_objects():
-    for state in (cat_state(1.1, 0.3), entangled_cat(0.7)):
+def test_superpositions_and_witnesses_are_immutable_slotted_objects():
+    cat = entangled_cat(1.2)
+    for state in (cat_state(1.1, 0.3), entangled_cat(0.7),
+                  paper_witness(1.3, 0.4, 0.3)):
         assert not hasattr(state, "__dict__")
-        for name in ("terms", "chi", "other"):
+        # the private slots too: a new _arrays would change chi, not ==
+        for name in ("terms", "chi", "other", "_terms", "_arrays", "_raw",
+                     "_norm_sq"):
             with pytest.raises(AttributeError):
                 setattr(state, name, None)
             with pytest.raises(AttributeError):
                 delattr(state, name)
-        # copies and pickles restore the arrays, not a renormalization
+        # copies and pickles restore the arrays, not a renormalization;
+        # the first clones are taken before terms is read
         for clone in (copy.copy(state), copy.deepcopy(state),
                       pickle.loads(pickle.dumps(state))):
             assert clone == state and repr(clone.terms) == repr(state.terms)
-            assert clone.chi2(0.3, -0.2j) if isinstance(
-                clone, PairSuperposition) else clone.chi(0.3)
+            if isinstance(clone, entanglement.WitnessDescriptor):
+                assert (witness_expectation(cat, clone)
+                        == witness_expectation(cat, state))
+            elif isinstance(clone, PairSuperposition):
+                assert clone.chi2(0.3, -0.2j) == state.chi2(0.3, -0.2j)
+            else:
+                assert clone.chi(0.3) == state.chi(0.3)
     # the caller's term array is copied, so later writes do not reach terms
     source = np.array([[1.0, 0.5], [1.0, -0.5]], dtype=complex)
     state = CoherentSuperposition(source)
