@@ -24,8 +24,8 @@ VERIFY_TOL = 1e-8
 OUTCOMES = {"gg": (-1, -1), "ge": (-1, +1), "eg": (+1, -1), "ee": (+1, +1)}
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A bad command line; main reports it as any ValueError, exit 2."""
 
 
 class ConsistencyError(Exception):
@@ -164,14 +164,14 @@ def _one_alpha(args, default=None):
 
 def cmd_chi(args) -> int:
     state = _single_mode(args)
+    if bool(args.alpha) == bool(args.grid):
+        raise UsageError("chi takes exactly one of --alpha and --grid")
     if args.alpha:
         points = np.array(_alpha_list(args), dtype=complex)
         axes, columns = (), [points.real, points.imag]
-    elif args.grid:
+    else:
         axes, columns = parse_grid(args.grid).axis_pair(), []
         points = np.add.outer(axes[0], 1j * axes[1]).ravel()  # row-major
-    else:
-        raise UsageError("chi needs --alpha or --grid")
     chi, chi_n = state.chi(points), state.chi_normal(points)
     header = "alpha_re,alpha_im,chi_re,chi_im,chiN_re,chiN_im"
     columns += [chi.real, chi.imag, chi_n.real, chi_n.imag]
@@ -367,9 +367,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return globals()["cmd_" + args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OverflowError as exc:
         print(f"error: overflow, the result is out of floating-point range "
               f"({exc})", file=sys.stderr)

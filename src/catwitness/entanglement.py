@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .nonclassicality import _hermitian, _triu, min_eigenvalue
-from .states import TwoModeState, _check_points, _check_scalar, _Terms
+from .states import TwoModeState, _c2j, _check_points, _check_scalar, _Terms
 
 IMAG_TOL = 1e-10
 COEFF_PRUNE = 1e-14
@@ -55,6 +55,7 @@ def standard_settings(xi0: float | np.ndarray, eps: float) -> Settings:
     moments are damped by exp(-|alpha_2|^2 / 2) and PPT detection of the
     cat is not promised.
     """
+    (_check_points if getattr(eps, "ndim", 0) else _check_scalar)(eps, "eps")
     x = np.asarray(xi0)
     if x.dtype.kind == "c":  # not ordered: name the first non-real entry
         raise ValueError("xi0 must be a real number > 0, got "
@@ -157,10 +158,8 @@ class WitnessDescriptor(_Terms):
         return _reduce_terms(zip(*self._arrays.tolist()))
 
     def to_json(self) -> list[dict]:
-        return [{"coeff": [c.real, c.imag],
-                 "phase": [word.phase.real, word.phase.imag],
-                 "amp1": [word.amp1.real, word.amp1.imag],
-                 "amp2": [word.amp2.real, word.amp2.imag]}
+        return [{"coeff": _c2j(c), "phase": _c2j(word.phase),
+                 "amp1": _c2j(word.amp1), "amp2": _c2j(word.amp2)}
                 for c, word in self.terms]
 
 
@@ -214,7 +213,6 @@ def witness_expectation(state: TwoModeState, wd: WitnessDescriptor) -> float:
 def _paper_terms(xi0, eps: float, w: float):
     """The raw (coeff, amp1, amp2) terms of paper_witness, in its merge
     order and after its checks; an array xi0 gives array amplitudes."""
-    _check_scalar(eps, "eps")
     settings = standard_settings(xi0, eps)
     if not 0.0 < w <= 0.5:
         raise ValueError(f"w must be in (0, 1/2], got {w}")
@@ -232,7 +230,7 @@ def _paper_terms(xi0, eps: float, w: float):
     raw += [(g + 0j, sa, sa) for sa in (s1, -s1, s3, -s3)]
     # cross correlations; the e^{+-i eps} pairing is fixed by the operator
     # equivalence with witness_from_eta
-    ph = cmath.exp(-1j * eps)
+    ph = cmath.exp(-1j * _check_scalar(eps, "eps"))  # one eps per witness
     a, b = g * 1j * ph, g * -1j * ph.conjugate()
     return raw + [(a, -s1, s3), (a, -s3, s1), (b, s1, -s3), (b, s3, -s1)]
 

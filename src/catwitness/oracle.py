@@ -25,6 +25,7 @@ from .states import (
     ThermalState,
     TwoModeMixture,
     TwoModeState,
+    _Mixture,
 )
 
 TRACE_TOL = 1e-6
@@ -276,7 +277,7 @@ def initial_dim(state) -> int:
     if isinstance(state, ThermalState):
         r = state.n_th / (1.0 + state.n_th)
         return math.floor(math.log(tol / 10) / math.log(r)) + 1 if r else 1
-    if isinstance(state, (Mixture, TwoModeMixture)):
+    if isinstance(state, _Mixture):
         return max(initial_dim(s) for _, s in state.components)
     if isinstance(state, Decohered):
         return initial_dim(state.inner)

@@ -23,6 +23,7 @@ from .states import (
     PairSuperposition,
     SingleModeState,
     TwoModeState,
+    _check_count,
     _check_scalar,
     _normalize,
     _superposition,
@@ -280,8 +281,7 @@ def qubit_channel(rho: QubitPairState, m: np.ndarray) -> QubitPairState:
 def sample_outcomes(state: SingleModeState, s: RamseySetting, shots: int,
                     seed: int) -> dict[str, int]:
     """Seeded binomial sampling of Ramsey outcomes at finite shot count."""
-    if shots < 0:
-        raise ValueError("shots must be >= 0")
+    shots = _check_count(shots, "shots")
     p_plus, _ = outcome_probabilities(state, s)
     rng = np.random.default_rng(seed)
     n_plus = int(rng.binomial(shots, p_plus))

@@ -16,6 +16,7 @@ free evolution is already factored out of every formula.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import operator
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ DEGENERATE_NORM = 1e-14
 EXP_MAX = float(np.log(np.finfo(float).max))  # exp(EXP_MAX) is finite
 LAGUERRE_SAFE = 1400.0  # x e^{x/2} is finite, and |L_n(x)| <= e^{x/2}
 LN2 = math.log(2.0)
+_AS_IS = contextlib.nullcontext()  # numpy's warnings as they are
 
 
 def _check_scalar(z, name: str = "amplitude") -> complex:
@@ -64,37 +66,30 @@ def _complex(x):
 
 
 def _laguerre(n: int, x):
-    """Laguerre polynomial L_n(x) by the recurrence scipy's eval_laguerre
-    runs for integer n, in the same order, so both give the same floats."""
-    if n == 0:
-        return np.ones_like(x)
-    d = -x
-    p = d + 1.0
-    t = np.empty_like(x)
-    for k in range(1, n):
-        np.divide(x, -(k + 1), out=t)  # -x / (k + 1), exactly
-        t *= p
-        d *= k / (k + 1)
-        d += t
-        p += d
-    return p
-
-
-def _scaled_laguerre(n: int, x):
-    """L_n(x) as (p, e) with L_n(x) = p 2^e: _laguerre's recurrence with
-    its two running values rescaled by a power of two after every step.
-    That scaling is exact, so p 2^e is _laguerre's value wherever that is
-    finite, and no step overflows where L_n(x) is past the float range."""
-    e = np.zeros(np.shape(x), dtype=np.int64)
+    """L_n(x) at a numpy float or array x as (p, e), L_n(x) = p 2^e, by the
+    recurrence scipy's eval_laguerre runs for integer n, in the same order:
+    where no x exceeds LAGUERRE_SAFE, e is the int 0 and p scipy's float.
+    Elsewhere e is an int array, and the running values are rescaled by a
+    power of two before every step, numpy's warnings off as x may be inf;
+    the scaling is exact, so p 2^e is the same value wherever it is finite,
+    and no step overflows past that range."""
+    scaled = (x > LAGUERRE_SAFE).any()
+    e = np.zeros(np.shape(x), dtype=np.int64) if scaled else 0
     if n == 0:
         return np.ones_like(x), e
     d = -x
     p = d + 1.0
-    for k in range(1, n):
-        ex = np.frexp(np.maximum(abs(p), abs(d)))[1]
-        p, d, e = np.ldexp(p, -ex), np.ldexp(d, -ex), e + ex
-        d = d * (k / (k + 1)) + x / -(k + 1) * p
-        p = p + d
+    t = np.empty_like(x)
+    with np.errstate(over="ignore", invalid="ignore") if scaled else _AS_IS:
+        for k in range(1, n):
+            if scaled:
+                ex = np.frexp(np.maximum(abs(p), abs(d)))[1]
+                p, d, e = np.ldexp(p, -ex), np.ldexp(d, -ex), e + ex
+            np.divide(x, -(k + 1), out=t)  # -x / (k + 1), exactly
+            t *= p
+            d *= k / (k + 1)
+            d += t
+            p += d
     return p, e
 
 
@@ -265,19 +260,15 @@ class FockState(SingleModeState):
 
     n: int
 
-    def __post_init__(self):
-        ok = not isinstance(self.n, bool) and hasattr(self.n, "__index__")
-        if not ok or (n := operator.index(self.n)) < 0:
-            raise ValueError(f"Fock index must be a non-negative integer, got {self.n}")
-        object.__setattr__(self, "n", n)  # an np.int64 and the like as an int
+    def __post_init__(self):  # an np.int64 and the like as an int
+        object.__setattr__(self, "n", _check_count(self.n, "Fock index"))
 
     def _ordered(self, a, s):
         x, k = abs(a) ** 2, (1 - s) / 2
-        if not (x > LAGUERRE_SAFE).any():  # no step of _laguerre overflows
-            p = _laguerre(self.n, x)
+        p, e = _laguerre(self.n, x)
+        if isinstance(e, int):  # unscaled: no step overflowed
             return p if s == 1 else p * np.exp(-k * x)  # chi_N: L_n alone
         with np.errstate(over="ignore", invalid="ignore"):
-            p, e = _scaled_laguerre(self.n, x)
             if k:  # e^{-kx} meets 2^e before either leaves the float range
                 p = np.where(x > LAGUERRE_SAFE, p * np.exp(e * LN2 - k * x),
                              np.ldexp(p, e) * np.exp(-k * x))
@@ -304,29 +295,32 @@ class ThermalState(SingleModeState):
         return _gauss(self.n_th + (1 - s) / 2, abs(a) ** 2)
 
 
-@dataclass(frozen=True)
-class Mixture(SingleModeState):
-    """Convex mixture of single-mode states; chi is linear in the components."""
-
-    components: tuple[tuple[float, SingleModeState], ...]
+class _Mixture:
+    """Convex mixture of states of its mode count, chi linear in them."""
 
     def __post_init__(self):
-        object.__setattr__(self, "components", _check_weights(self.components))
+        mode = TwoModeState if isinstance(self, TwoModeState) else SingleModeState
+        if not self.components:
+            raise ValueError("mixture needs at least one component")
+        for w, c in self.components:  # NaN fails w >= 0 too
+            if not isinstance(c, mode):
+                raise ValueError("mixture mixes single- and two-mode components")
+            if np.asarray(w).dtype.kind not in "iuf" or np.ndim(w) or not w >= 0:
+                raise ValueError(f"mixture weights must be non-negative, got {w!r}")
+        components = tuple((float(w), c) for w, c in self.components)
+        if abs((total := sum(w for w, _ in components)) - 1.0) > WEIGHT_TOL:
+            raise ValueError(f"mixture weights sum to {total!r}, expected 1")
+        object.__setattr__(self, "components", components)
 
     def _ordered(self, a, s):
         return sum(w * c._ordered(a, s) for w, c in self.components)
 
 
-def _check_weights(components):
-    if not components:
-        raise ValueError("mixture needs at least one component")
-    for w, _ in components:  # NaN fails w >= 0 too
-        if np.asarray(w).dtype.kind not in "iuf" or np.ndim(w) or not w >= 0:
-            raise ValueError(f"mixture weights must be non-negative, got {w!r}")
-    components = tuple((float(w), c) for w, c in components)
-    if abs((total := sum(w for w, _ in components)) - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"mixture weights sum to {total!r}, expected 1")
-    return components
+@dataclass(frozen=True)
+class Mixture(_Mixture, SingleModeState):
+    """Convex mixture of single-mode states."""
+
+    components: tuple[tuple[float, SingleModeState], ...]
 
 
 @dataclass(frozen=True)
@@ -348,6 +342,7 @@ class Decohered(SingleModeState):
     n_th: float
 
     def __post_init__(self):
+        _check_single_mode(self, self.inner)
         for name in ("gamma_t", "n_th"):
             object.__setattr__(self, name, _check_rate(getattr(self, name), name))
 
@@ -357,6 +352,19 @@ class Decohered(SingleModeState):
         # a 0-d a times shrink is a numpy scalar, whose abs rounds unlike
         # the array loop's; the wrapped state gets an array, as from chi
         return g * self.inner._ordered(np.asarray(a * shrink), s)
+
+
+def _check_count(value, name: str) -> int:
+    ok = not isinstance(value, bool) and hasattr(value, "__index__")
+    if not ok or (n := operator.index(value)) < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+    return n
+
+
+def _check_single_mode(owner, component):
+    if not isinstance(component, SingleModeState):
+        raise ValueError(f"{type(owner).__name__} takes single-mode states, "
+                         f"got {type(component).__name__}")
 
 
 def _check_rate(value, name: str):
@@ -388,21 +396,19 @@ class ProductState(TwoModeState):
     left: SingleModeState
     right: SingleModeState
 
+    def __post_init__(self):
+        _check_single_mode(self, self.left)
+        _check_single_mode(self, self.right)
+
     def _ordered(self, a, s):
         return self.left._ordered(a[..., 0], s) * self.right._ordered(a[..., 1], s)
 
 
 @dataclass(frozen=True)
-class TwoModeMixture(TwoModeState):
+class TwoModeMixture(_Mixture, TwoModeState):
     """Convex mixture of two-mode states."""
 
     components: tuple[tuple[float, TwoModeState], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", _check_weights(self.components))
-
-    def _ordered(self, a, s):
-        return sum(w * c._ordered(a, s) for w, c in self.components)
 
 
 VACUUM = FockState(0)
@@ -497,7 +503,7 @@ def state_to_json(state) -> dict:
         return {"kind": "fock", "n": state.n}
     if isinstance(state, ThermalState):
         return {"kind": "thermal", "n_th": state.n_th}
-    if isinstance(state, Mixture) or isinstance(state, TwoModeMixture):
+    if isinstance(state, _Mixture):
         return {"kind": "mixture",
                 "components": [{"weight": w, "state": state_to_json(s)}
                                for w, s in state.components]}
@@ -548,9 +554,6 @@ def state_from_json(data: dict):
         components = tuple((_j2f(c["weight"], "weight"),
                             state_from_json(c["state"]))
                            for c in data["components"])
-        if all(isinstance(s, TwoModeState) for _, s in components):
-            return TwoModeMixture(components)
-        if all(isinstance(s, SingleModeState) for _, s in components):
-            return Mixture(components)
-        raise ValueError("mixture mixes single- and two-mode components")
+        two = components and isinstance(components[0][1], TwoModeState)
+        return (TwoModeMixture if two else Mixture)(components)
     raise ValueError(f"unknown state kind {kind!r}")

@@ -586,3 +586,44 @@ def test_out_file(tmp_path, capsys):
 
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+PAIR = json.dumps(states.state_to_json(entangled_cat(1.0, +1)))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("decay", "--state", "fock:1", "--grid", "0:1:0.5"),
+     "decay needs --alpha"),
+    (("prepare", "--psi", "fock:1", "--alpha-re", "1", "--outcome", "gg"),
+     "prepare needs a coherent-superposition --psi"),
+    # the grid was dropped without a word; an option without effect is
+    # a usage error
+    (("chi", "--state", "fock:1", "--alpha", "1", "--grid", "0:1:0.5"),
+     "chi takes exactly one of --alpha and --grid"),
+    (("chi", "--state", "fock:1"), "chi takes exactly one of --alpha and --grid"),
+    # a two-mode state inside a single-mode one once gave two rows of
+    # wrong numbers, its points read as one (alpha, beta) pair
+    (("chi", "--state", '{"kind": "decohered", "inner": ' + PAIR
+      + ', "gamma_t": 0.1, "n_th": 0}', "--alpha", "1", "--alpha", "2"),
+     "bad state JSON: Decohered takes single-mode states, got "
+     "PairSuperposition"),
+    (("chi", "--state", '{"kind": "mixture", "components": [{"weight": 0.5, '
+      '"state": {"kind": "fock", "n": 1}}, {"weight": 0.5, "state": '
+      + PAIR + '}]}', "--alpha", "1"),
+     "bad state JSON: mixture mixes single- and two-mode components"),
+])
+def test_usage_errors_name_their_cause(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_decay_warns_where_it_is_not_monotone(capsys):
+    # |chi_N| of a lossy |1> at |alpha|^2 = 2 is |1 - 2 e^{-gamma_t}|: it
+    # falls to 0 at gamma_t = ln 2 and rises again
+    code, out, err = run(capsys, "decay", "--state", "fock:1", "--alpha",
+                         str(math.sqrt(2.0)), "--grid", "0:2:0.5")
+    assert code == 0
+    values = [float(line.split(",")[1]) for line in out.split("\n")[1:-1]]
+    assert len(values) == 5 and values[1] < values[2]
+    assert err == "warning: |chiN| is not monotone on this grid\n"

@@ -482,3 +482,23 @@ def test_complex_xi0_is_named(build):
     with pytest.raises(ValueError,
                        match=r"^xi0 must be a real number > 0, got \(1\+0\.5j\)$"):
         build()
+
+
+def test_expectation_refuses_an_imaginary_residue():
+    # a chi2 whose sum is not real is a numeric failure, not a value
+    def chi2(amp1, amp2):
+        return np.full(np.shape(amp1), 1j)
+
+    with pytest.raises(ArithmeticError, match="^witness expectation has "
+                                              "imaginary residue 2$"):
+        _expectation(chi2, np.ones(2), np.zeros(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("eps", [math.nan, np.array([0.3, math.inf])])
+def test_settings_refuse_a_non_finite_eps(eps):
+    # NaN settings once reached ppt_min_eig, which named the amplitude
+    bad = complex(np.ravel(eps)[-1])
+    with pytest.raises(ValueError, match=rf"^eps must be finite, got "
+                                         rf"\({bad.real}\+0j\)$"):
+        ppt_min_eig(entangled_cat(1.0), standard_settings(1.0, eps))
+

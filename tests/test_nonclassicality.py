@@ -241,3 +241,8 @@ def test_nc1_decoheres_monotonically():
               for t in (0.0, 0.5, 1.0, 2.0, 5.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert all(v > 1 for v in values)
+
+
+def test_bochner_matrix_needs_two_points():
+    with pytest.raises(ValueError, match="^need at least 2 test points$"):
+        bochner_matrix(cat_state(1.0, 0), [0.3])

@@ -874,3 +874,24 @@ def test_oracle_takes_only_classes_from_the_closed_forms():
     assert not [name for name, value in vars(oracle).items()
                 if inspect.isfunction(value)
                 and value.__module__ == states.__name__]
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: displacement_matrix(0.5, 0), ValueError, "dim must be >= 1"),
+    (lambda: initial_dim(3), TypeError, "unknown state int"),
+])
+def test_oracle_inputs_name_the_refused_input(build, error, message):
+    # each refusal here was reached by no test
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
+def test_a_loss_over_no_time_realizes_the_inner_state():
+    # gamma_t = 0 gives eta = 1: the inner realization itself, no Kraus step
+    for inner in (cat_state(1.2, 0.3), FockState(3), ThermalState(0.4)):
+        lossless = decohere(inner, 0.0, 0.0)
+        for got, want in zip(oracle._realize(lossless, 24),
+                             oracle._realize(inner, 24)):
+            assert np.array_equal(got, want)
+        for alpha in (0.4 + 0.2j, -1.1j):
+            assert abs(oracle_chi(lossless, alpha) - inner.chi(alpha)) < 1e-12

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -283,3 +284,53 @@ def test_conditional_states_pass_over_their_terms_once(monkeypatch):
         conditional_state(VAC1, RamseySetting(0.0, 0j), -1)
     with pytest.raises(ValueError, match=r"^outcome \(-1, 1\) has prob"):
         prepare_conditional(VAC1, 0.0, 0.0, RamseySetting(0.0, 0j), (-1, 1))
+
+
+MAXIMALLY_MIXED = QubitPairState(np.eye(4) / 4)
+NOT_PSD = np.eye(4) + np.diag([2.0, 0.0, 0.0], 1) + np.diag([2.0, 0.0, 0.0], -1)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: qubit_channel(MAXIMALLY_MIXED, np.eye(3)), ValueError,
+     "moments matrix must be 4x4, got (3, 3)"),
+    (lambda: qubit_channel(MAXIMALLY_MIXED, 2 * np.eye(4)), ValueError,
+     "moments matrix diagonal must be all ones"),
+    (lambda: qubit_channel(MAXIMALLY_MIXED, NOT_PSD), ValueError,
+     "moments matrix is not positive semidefinite"),
+    (lambda: QubitPairState(np.eye(4) / 2), ValueError,
+     "trace is {}, expected 1".format(repr(np.float64(2.0)))),
+    (lambda: CouplingParams(0.0, 1.0, 1.0), ValueError, "lam must be > 0"),
+    (lambda: CouplingParams(1.0, math.nan, 1.0), ValueError,
+     "omega must be > 0"),
+    (lambda: CouplingParams(1.0, 1.0, -1.0), ValueError, "tau must be >= 0"),
+    (lambda: RamseySetting(math.inf, 0.3), ValueError, "phi must be finite"),
+    (lambda: conditional_state(cat_state(1.0, 0), RamseySetting(0, 0.3), 0),
+     ValueError, "outcome must be +1 or -1, got 0"),
+    (lambda: prepare_conditional(FockState(1), 0.0, 0.0,
+                                 RamseySetting(0, 0.3), (-1, -1)),
+     TypeError, "psi must be a CoherentSuperposition"),
+    (lambda: prepare_conditional(VAC1, 0.0, 0.0, RamseySetting(0, 0.3),
+                                 (-1, 0)),
+     ValueError, "outcome must be a pair of +-1, got (-1, 0)"),
+])
+def test_protocol_inputs_name_the_refused_input(build, error, message):
+    # each refusal here was reached by no test
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("shots", [-1, 10.5, True, "10"])
+def test_shots_are_a_non_negative_integer(shots):
+    # a float once came back as a fractional count and True as one shot
+    with pytest.raises(ValueError, match=re.escape(
+            f"shots must be a non-negative integer, got {shots}")):
+        sample_outcomes(cat_state(1.0, 0), RamseySetting(0, 0.3), shots, 1)
+
+
+def test_shots_of_any_integer_type_count_as_an_int():
+    counts = sample_outcomes(cat_state(1.0, 0), RamseySetting(0, 0.3),
+                             np.int64(10), 1)
+    assert counts == sample_outcomes(cat_state(1.0, 0),
+                                     RamseySetting(0, 0.3), 10, 1)
+    assert all(type(n) is int for n in counts.values())
+    assert counts["plus"] + counts["minus"] == 10

@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import pickle
+import re
 import warnings
 from pathlib import Path
 
@@ -88,12 +89,22 @@ def test_laguerre_equals_scipy_eval_laguerre():
     x = np.concatenate([np.linspace(0.0, 2000.0, 2001),
                         rng.uniform(0.0, 2000.0, 500),
                         rng.uniform(0.0, 5.0, 500)])
+    # p of the (p, e) pair: e = 0 where no x passes LAGUERRE_SAFE, and
+    # past it the exact power-of-two rescaling gives p 2^e, the same floats
+    safe = x <= states.LAGUERRE_SAFE
     for n in [*range(13), 50, 150, 200]:
-        got = _laguerre(n, x)
-        assert isinstance(got, np.ndarray)
-        assert np.array_equal(got, eval_laguerre(n, x))
-        for xi in x[::50].tolist():
-            assert _laguerre(n, xi) == eval_laguerre(n, xi)
+        p, e = _laguerre(n, x[safe])
+        assert isinstance(p, np.ndarray) and e == 0
+        assert np.array_equal(p, eval_laguerre(n, x[safe]))
+        p, e = _laguerre(n, x)
+        assert isinstance(p, np.ndarray) and e.shape == x.shape
+        assert np.array_equal(np.ldexp(p, e), eval_laguerre(n, x))
+        for xi in x[::50]:  # numpy float64 scalars, as FockState passes
+            p, e = _laguerre(n, xi)
+            if xi <= states.LAGUERRE_SAFE:
+                assert e == 0 and p == eval_laguerre(n, xi)
+            else:
+                assert np.ldexp(p, e) == eval_laguerre(n, xi)
 
 
 SINGLE_MODE = [cat_state(1.5, 0.7),
@@ -187,14 +198,18 @@ def test_no_method_forwarding_functions():
 
 def test_one_ordered_hook_per_family():
     # chi, chi_normal and chi2 are defined once, on the two base classes;
-    # each family implements only the s-ordered hook they call
+    # each family implements only the s-ordered hook they call, on itself
+    # or on a private body it shares with its other-mode twin (_Mixture)
     bases = (states.SingleModeState, states.TwoModeState)
     families = [cls for cls in vars(states).values() if inspect.isclass(cls)
                 and issubclass(cls, bases) and cls not in bases]
     assert len(families) == 8
     for cls in families:
-        assert "_ordered" in vars(cls), cls.__name__
-        assert not {"chi", "chi_normal", "chi2"} & set(vars(cls)), cls.__name__
+        own = [k for k in cls.__mro__ if k not in (*bases, object)]
+        hook = next(k for k in cls.__mro__ if "_ordered" in vars(k))
+        assert hook in own, cls.__name__
+        for k in own:
+            assert not {"chi", "chi_normal", "chi2"} & set(vars(k)), k.__name__
 
 
 def test_points_are_checked_once_per_call(monkeypatch):
@@ -729,3 +744,64 @@ def test_json_of_a_stack_names_the_stack():
     with pytest.raises(ValueError, match="a stack of 2 states has no single "
                                          "JSON form; take one member"):
         state_to_json(times)
+
+
+PAIR_JSON = {"kind": "pair_superposition",
+             "terms": [{"coeff": [1, 0], "amp1": [1, 0], "amp2": [1, 0]}]}
+FOCK_JSON = {"kind": "fock", "n": 1}
+
+
+def mixture_json(*parts):
+    return {"kind": "mixture", "components": [
+        {"weight": 1 / len(parts), "state": part} for part in parts]}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CoherentSuperposition(()), "superposition needs at least one term"),
+    (lambda: PairSuperposition(((1.0, 0.5),)),
+     "a term is a coefficient and 2 amplitude(s)"),
+    (lambda: CoherentSuperposition(((np.nan, 0.5),)),
+     "coefficient must be finite, got (nan+0j)"),
+    (lambda: PairSuperposition(((1.0, 0.5, complex(np.inf, 0)),)),
+     "amplitude must be finite, got (inf+0j)"),
+    (lambda: entangled_cat(1.0, 0), "sign must be +1 or -1, got 0"),
+    # a composite state's parts have its mode count, in code and from JSON
+    (lambda: Decohered(entangled_cat(1.0), 0.1, 0.0),
+     "Decohered takes single-mode states, got PairSuperposition"),
+    (lambda: state_from_json({"kind": "decohered", "inner": PAIR_JSON,
+                              "gamma_t": 0.1, "n_th": 0}),
+     "Decohered takes single-mode states, got PairSuperposition"),
+    (lambda: ProductState(1, 2), "ProductState takes single-mode states, got int"),
+    (lambda: ProductState(entangled_cat(1.0), VACUUM),
+     "ProductState takes single-mode states, got PairSuperposition"),
+    (lambda: Mixture(((1.0, entangled_cat(1.0)),)),
+     "mixture mixes single- and two-mode components"),
+    (lambda: TwoModeMixture(((1.0, cat_state(1.0, 0)),)),
+     "mixture mixes single- and two-mode components"),
+    (lambda: state_from_json(mixture_json(FOCK_JSON, PAIR_JSON)),
+     "mixture mixes single- and two-mode components"),
+    (lambda: state_from_json(mixture_json(PAIR_JSON, FOCK_JSON)),
+     "mixture mixes single- and two-mode components"),
+    (lambda: state_from_json(mixture_json()),
+     "mixture needs at least one component"),
+])
+def test_constructors_name_the_refused_input(build, message):
+    # each refusal here was reached by no test; a composite of the wrong
+    # mode count once built and evaluated its points as the wrong pairs
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_the_mode_rules_keep_the_right_mode_count():
+    # a mixture read from JSON takes its class from its components
+    assert isinstance(state_from_json(mixture_json(PAIR_JSON, PAIR_JSON)),
+                      TwoModeMixture)
+    assert isinstance(state_from_json(mixture_json(FOCK_JSON)), Mixture)
+    mix = Mixture(((1.0, cat_state(1.0, 0)),))
+    product = ProductState(decohere(mix, 0.2, 0.1), VACUUM)
+    assert product.chi2(0.3, 0.0) == decohere(mix, 0.2, 0.1).chi(0.3)
+
+
+def test_json_of_an_unknown_object_is_refused():
+    with pytest.raises(TypeError, match="^cannot serialize int$"):
+        state_to_json(3)
