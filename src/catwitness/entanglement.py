@@ -183,7 +183,8 @@ def witness_from_eta(eta: np.ndarray, settings: Settings) -> WitnessDescriptor:
     for name, value in settings._asdict().items():
         _check_scalar(value, f"settings.{name}")
     if not abs(np.linalg.norm(eta) - 1.0) <= IMAG_TOL:
-        raise ValueError(f"eta must have unit norm, got {np.linalg.norm(eta)!r}")
+        raise ValueError("eta must have unit norm, got "
+                         f"{float(np.linalg.norm(eta))!r}")
     # eta^dag M^G eta = tr{M Q} with Q = (eta eta^dag)^G, as the partial
     # transpose is self-adjoint under the trace; M_cc = 1, and as M and Q
     # are Hermitian each word pair c < d adds Q_dc M_cd and its conjugate

@@ -253,7 +253,7 @@ class QubitPairState:
         if m.shape != (4, 4):
             raise ValueError(f"expected 4x4 matrix, got {m.shape}")
         if abs(np.trace(m).real - 1.0) > PSD_TOL:
-            raise ValueError(f"trace is {np.trace(m).real!r}, expected 1")
+            raise ValueError(f"trace is {float(np.trace(m).real)!r}, expected 1")
         if min_eigenvalue(m) < -PSD_TOL:
             raise ValueError("matrix is not positive semidefinite")
         object.__setattr__(self, "matrix", m)

@@ -28,6 +28,7 @@ DEGENERATE_NORM = 1e-14
 EXP_MAX = float(np.log(np.finfo(float).max))  # exp(EXP_MAX) is finite
 LAGUERRE_SAFE = 1400.0  # x e^{x/2} is finite, and |L_n(x)| <= e^{x/2}
 LN2 = math.log(2.0)
+SPLIT_TERMS = 8  # the measured K from which _coherent_sum splits the phases
 _AS_IS = contextlib.nullcontext()  # numpy's warnings as they are
 
 
@@ -97,7 +98,9 @@ def _superposition(terms, modes: int):
     """Term arrays (t, w, x*^T, g) of sum_k c_k |x_k^1, ..., x_k^modes>
     after one finiteness pass: t (K, modes + 1), w_kl = c_k c_l*, x*^T
     (modes, K) and g (K, K), the _coherent_sum exponent at a = 0, real part
-    0 on the diagonal; the squared norm sum w e^g. Stacked terms lead each."""
+    0 on the diagonal; the squared norm sum w e^g. From K = SPLIT_TERMS on,
+    g is kept real, its phases e^{i Im g} folded into w, for the split
+    order of _coherent_sum. Stacked terms lead each."""
     if not len(terms):
         raise ValueError("superposition needs at least one term")
     t = np.array(terms, dtype=complex)  # a copy: terms is built from it later
@@ -113,6 +116,8 @@ def _superposition(terms, modes: int):
     e = -0.5 * g.diagonal(0, -2, -1).real
     g += e[..., :, None] + e[..., None, :]
     w = c * tct[..., :1, :]
+    if t.shape[-2] >= SPLIT_TERMS:  # the constant phases into the weights
+        w, g = w * np.exp(1j * g.imag), g.real
     return (t, w, xct, g), (w * np.exp(g)).sum((-2, -1)).real[()]
 
 
@@ -123,10 +128,15 @@ def _coherent_sum(arrays, a, s):
     every array) takes points led by S or 1, or with fewer axes, shared.
 
     By D(a)|x> = e^{i Im(a x*)} |x + a>, each term pair is e to the power
-    g_kl + a.x_l* - (a.x_k*)* - |a|^2/2, kept combined as its parts alone
-    overflow at macroscopic amplitudes: one (S, P, M) x (S, M, K) product,
-    one (S, P, K, K) exponent and exp, one (S, P, K^2) x (S, K^2, 1) product
-    with the weights."""
+    E_kl = g_kl + p_l - p_k* - |a|^2/2 with p = a.x*, its real part kept
+    combined as its parts alone overflow at macroscopic amplitudes. One
+    (S, P, M) x (S, M, K) product gives p. Below SPLIT_TERMS terms (g
+    complex), one (S, P, K, K) complex exponent and exp and one
+    (S, P, K^2) x (S, K^2, 1) product with the weights follow. From
+    SPLIT_TERMS on (g real, w holding e^{i Im g}), as Im E_kl = Im g_kl +
+    Im p_k + Im p_l, the sum is z^T (e^{Re E} o w) z with one unit phase
+    z_k = e^{i Im p_k} per term: a real exp per term pair, a complex one
+    per term, and the phases cannot overflow."""
     w, xct, g = arrays
     lead, (m, k) = xct.shape[:-2], xct.shape[-2:]
     if a.ndim <= len(lead):  # shared points
@@ -137,7 +147,8 @@ def _coherent_sum(arrays, a, s):
     if len(shape := a.shape[len(lead):-1]) != 1:
         a = a.reshape(a.shape[:len(lead)] + (-1, m))
     p = a @ xct  # (S, P, K)
-    expo = p[..., None, :] - p.conj()[..., :, None]
+    q = p.real if (split := g.dtype.kind == "f") else p  # Re E alone, or E
+    expo = q[..., None, :] - q.conj()[..., :, None]
     expo += g[..., None, :, :]
     re = expo.real
     if s != 1:
@@ -145,7 +156,11 @@ def _coherent_sum(arrays, a, s):
     if re.max(initial=-math.inf) > EXP_MAX:  # as math.exp, not a warning and inf
         raise OverflowError("math range error")
     e = np.exp(expo, out=expo)
-    out = e.reshape(e.shape[:-2] + (k * k,)) @ w.reshape(lead + (k * k, 1))
+    if split:
+        z = np.exp(1j * p.imag)[..., None]  # a column (S, P, K, 1)
+        out = (z * ((e * w[..., None, :, :]) @ z)).sum(-2)
+    else:
+        out = e.reshape(e.shape[:-2] + (k * k,)) @ w.reshape(lead + (k * k, 1))
     return out.reshape(out.shape[:-2] + shape)
 
 
@@ -303,6 +318,9 @@ class _Mixture:
         if not self.components:
             raise ValueError("mixture needs at least one component")
         for w, c in self.components:  # NaN fails w >= 0 too
+            if not isinstance(c, (SingleModeState, TwoModeState)):
+                raise ValueError("mixture components must be states, "
+                                 f"got {type(c).__name__}")
             if not isinstance(c, mode):
                 raise ValueError("mixture mixes single- and two-mode components")
             if np.asarray(w).dtype.kind not in "iuf" or np.ndim(w) or not w >= 0:

@@ -179,8 +179,10 @@ def test_witness_serialization():
 
 def test_witness_from_eta_input_validation():
     settings = standard_settings(1.0, 1.0)
-    with pytest.raises(ValueError):
-        witness_from_eta(np.ones(9), settings)  # not unit norm
+    # the norm as a plain float, not numpy 2's np.float64(3.0)
+    with pytest.raises(ValueError,
+                       match=r"^eta must have unit norm, got 3\.0$"):
+        witness_from_eta(np.ones(9), settings)
     with pytest.raises(ValueError):
         witness_from_eta(np.ones(4) / 2.0, settings)
 

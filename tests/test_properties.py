@@ -6,7 +6,8 @@ here, the array forms of chi, chi_N and chi2 against per-point references
 written here independently of the kernels in states.py (cmath double sums
 for coherent superpositions, scipy's eval_laguerre for Fock states, the
 closed-form Gaussians for thermal states), also at macroscopic
-amplitudes, the defining identities of chi,
+amplitudes, both evaluation orders of the coherent-sum kernel against a
+copy of its complex-exponent order, the defining identities of chi,
 the sign of the witness on separable states, the moment matrices against
 one chi2 call per word pair, and the JSON round trip of every state family.
 """
@@ -50,6 +51,7 @@ from catwitness import (
     witness_expectation,
     witness_from_eta,
 )
+from catwitness import states
 from catwitness.cli import main
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -324,12 +326,12 @@ offsets = st.builds(cmath.rect, st.floats(0.0, 1.0),
 
 
 @st.composite
-def macroscopic(draw, cls, modes):
-    """A superposition of 1 to 3 terms with |x| <= 19 per mode, and six
-    points (6, modes) within 1 of a difference x_l - x_k per mode, so
-    |alpha| <= 39, where the term pair (k, l) is of order one."""
+def macroscopic(draw, cls, modes, sizes=(1, 3)):
+    """A superposition of sizes[0] to sizes[1] terms with |x| <= 19 per
+    mode, and six points (6, modes) within 1 of a difference x_l - x_k per
+    mode, so |alpha| <= 39, where the term pair (k, l) is of order one."""
     terms = draw(st.lists(st.tuples(complexes, *[macro_amps] * modes),
-                          min_size=1, max_size=3))
+                          min_size=sizes[0], max_size=sizes[1]))
     try:
         state = cls(tuple(terms))
     except ValueError:  # a degenerate draw, such as all coefficients 0
@@ -354,6 +356,155 @@ def test_coherent_sums_at_macroscopic_amplitudes(case):
     want = [reference_coherent_sum(state.terms, p) for p in points.tolist()]
     assert np.isfinite(got).all()
     assert_close(got, want)
+
+
+def complex_exponent_sum(arrays, a, s):
+    """states._coherent_sum in the complex-exponent order it had before the
+    split order, one complex exp per term pair and point: the reference for
+    both orders, to the bit below SPLIT_TERMS terms."""
+    w, xct, g = arrays
+    lead, (m, k) = xct.shape[:-2], xct.shape[-2:]
+    if a.ndim <= len(lead):  # shared points
+        a = a.reshape((1,) * (len(lead) + 1 - a.ndim) + a.shape)
+    if len(shape := a.shape[len(lead):-1]) != 1:
+        a = a.reshape(a.shape[:len(lead)] + (-1, m))
+    p = a @ xct
+    expo = p[..., None, :] - p.conj()[..., :, None]
+    expo += g[..., None, :, :]
+    re = expo.real
+    if s != 1:
+        re -= (1 - s) / 2 * (abs(a) ** 2).sum(-1)[..., None, None]
+    if re.max(initial=-math.inf) > states.EXP_MAX:
+        raise OverflowError("math range error")
+    e = np.exp(expo, out=expo)
+    out = e.reshape(e.shape[:-2] + (k * k,)) @ w.reshape(lead + (k * k, 1))
+    return out.reshape(out.shape[:-2] + shape)
+
+
+def complex_exponent_arrays(state):
+    """The kernel arrays of the state's raw terms in the complex-exponent
+    order, at any term count."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(states, "SPLIT_TERMS", math.inf)
+        return type(state)(state._raw)._arrays
+
+
+def overflow_or(f, *args):
+    """f(*args) as an array, or the string "overflow" where it raises
+    OverflowError."""
+    try:
+        return np.asarray(f(*args))
+    except OverflowError:
+        return "overflow"
+
+
+def public(state, points, s):
+    """chi (s = 0) or chi_N (s = 1) of a single-mode state, chi2 of a pair,
+    at points (..., modes), through the public methods."""
+    if isinstance(state, PairSuperposition):
+        return state.chi2(points[..., 0], points[..., 1])
+    return (state.chi_normal if s else state.chi)(points[..., 0])
+
+
+@st.composite
+def superpositions(draw, cls, modes, sizes):
+    """A superposition of sizes[0] to sizes[1] terms drawn from complexes,
+    and points of one drawn shape (..., modes): a scalar point, (P,) or
+    (P, Q) points."""
+    terms = draw(st.lists(st.tuples(*[complexes] * (modes + 1)),
+                          min_size=sizes[0], max_size=sizes[1]))
+    try:
+        state = cls(tuple(terms))
+    except ValueError:  # a degenerate draw, such as all coefficients 0
+        assume(False)
+    shape = draw(st.sampled_from(((), (1,), (6,), (3, 4)))) + (modes,)
+    points = draw(st.lists(complexes, min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    return state, np.array(points, dtype=complex).reshape(shape)
+
+
+@st.composite
+def stacked_pairs(draw, sizes):
+    """A stack of 1 to 3 pair superpositions of one drawn term count, from
+    one term array (S, K, 3), and points (S, 4, 2)."""
+    k, n = draw(st.integers(*sizes)), draw(st.integers(1, 3))
+    t = draw(st.lists(complexes, min_size=n * k * 3, max_size=n * k * 3))
+    try:
+        state = PairSuperposition(np.reshape(t, (n, k, 3)))
+    except ValueError:
+        assume(False)
+    points = draw(st.lists(complexes, min_size=n * 8, max_size=n * 8))
+    return state, np.reshape(points, (n, 4, 2))
+
+
+def term_counts(sizes, macro_sizes):
+    """Single-mode and pair superpositions of these term counts, scalar and
+    stacked, at points of order one and at macroscopic amplitudes."""
+    return st.one_of(
+        superpositions(CoherentSuperposition, 1, sizes),
+        superpositions(PairSuperposition, 2, sizes),
+        macroscopic(CoherentSuperposition, 1, macro_sizes),
+        macroscopic(PairSuperposition, 2, macro_sizes),
+        stacked_pairs(sizes))
+
+
+@SETTINGS
+@given(term_counts((1, states.SPLIT_TERMS - 1), (1, states.SPLIT_TERMS - 1)),
+       st.sampled_from((0, 1)))
+def test_below_split_terms_the_kernel_keeps_its_bits(case, s):
+    # the arrays and the complex-exponent order are as they were
+    state, points = case
+    assert state._arrays[2].dtype == complex
+    got = overflow_or(public, state, points, s)
+    want = overflow_or(complex_exponent_sum, state._arrays, points,
+                       0 if isinstance(state, PairSuperposition) else s)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@SETTINGS
+@given(term_counts((states.SPLIT_TERMS, 16), (states.SPLIT_TERMS, 12)),
+       st.sampled_from((0, 1)))
+def test_from_split_terms_on_the_kernel_matches_both_references(case, s):
+    # per point, within 1e-15 sum|w| on the scale of chi, or within
+    # eps Phi sum|w| where that is larger: Phi = sum_m X_m (X_m + 2|a_m|),
+    # X_m the largest |x| of mode m, bounds every phase |Im E_kl|, and a
+    # phase is rounded to about eps |Im E_kl| in either order (the
+    # reference too: 6.6e-15 sum|w| at |x| <= 19, |alpha| <= 39)
+    state, points = case
+    assert state._arrays[2].dtype == float  # the split order
+    if isinstance(state, PairSuperposition):
+        s = 0
+    got = overflow_or(public, state, points, s)
+    want = overflow_or(complex_exponent_sum, complex_exponent_arrays(state),
+                       points, s)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str) and got.shape == want.shape
+    # chi_N to chi by e^{-s|a|^2/4} twice: e^{-|a|^2/2} alone is 0 past
+    # |a|^2 = 1490, where chi_N can still be finite
+    half = np.exp(-s * (abs(points) ** 2).sum(-1) / 4)
+    got, want = got * half * half, want * half * half
+    w, raw = state._arrays[0], state._raw
+    stacked = w.ndim > 2
+    members, at = ((state.terms, points) if stacked
+                   else ([state.terms], points[None]))
+    modes = points.shape[-1]
+    exact = np.reshape([[reference_coherent_sum(m, tuple(p))
+                         for p in a.reshape(-1, modes).tolist()]
+                        for m, a in zip(members, at)], got.shape)
+    x = abs(raw[..., 1:]).max(-2)  # X_m, per member of a stack
+    if stacked:
+        x = x[:, None, :]
+    phi = (x * (x + 2 * abs(points))).sum(-1)
+    sum_w = abs(w).sum((-2, -1))
+    tol = np.maximum(1e-15, np.finfo(float).eps * phi) * (
+        sum_w[:, None] if stacked else sum_w)
+    assert np.all(abs(got - want) <= tol)
+    assert np.all(abs(got - exact) <= tol)
 
 
 @SETTINGS

@@ -298,7 +298,7 @@ NOT_PSD = np.eye(4) + np.diag([2.0, 0.0, 0.0], 1) + np.diag([2.0, 0.0, 0.0], -1)
     (lambda: qubit_channel(MAXIMALLY_MIXED, NOT_PSD), ValueError,
      "moments matrix is not positive semidefinite"),
     (lambda: QubitPairState(np.eye(4) / 2), ValueError,
-     "trace is {}, expected 1".format(repr(np.float64(2.0)))),
+     "trace is 2.0, expected 1"),
     (lambda: CouplingParams(0.0, 1.0, 1.0), ValueError, "lam must be > 0"),
     (lambda: CouplingParams(1.0, math.nan, 1.0), ValueError,
      "omega must be > 0"),

@@ -107,17 +107,23 @@ def test_laguerre_equals_scipy_eval_laguerre():
                 assert np.ldexp(p, e) == eval_laguerre(n, xi)
 
 
+# 16 terms: the split order of the coherent sums (states.SPLIT_TERMS)
+SUP16 = CoherentSuperposition(tuple((1 / (k + 1), cmath.rect(0.2 * k, 0.7 * k))
+                                    for k in range(16)))
+PAIR16 = prepare_conditional(cat_state(0.9, 0.4), 0.9, 0.2,
+                             RamseySetting(0.5, 0.6 + 0.3j), (-1, +1))[0]
 SINGLE_MODE = [cat_state(1.5, 0.7),
                CoherentSuperposition(((1.0, 0.3 - 0.2j),)),
                VACUUM, FockState(3), ThermalState(0.8),
                Mixture(((0.4, FockState(0)), (0.6, cat_state(1.0, 0.0)))),
                decohere(FockState(0), 0.3, 0.5),
-               decohere(cat_state(1.0, 0.0), 0.3, 2.0)]
+               decohere(cat_state(1.0, 0.0), 0.3, 2.0), SUP16]
 TWO_MODE = [entangled_cat(1.2, -1),
             PairSuperposition(((1.0, 0.5, 0.2j), (0.5j, -0.2j, 0.5))),
             ProductState(FockState(0), ThermalState(0.5)),
             TwoModeMixture(((0.5, entangled_cat(1.0, +1)),
-                            (0.5, ProductState(VACUUM, FockState(2)))))]
+                            (0.5, ProductState(VACUUM, FockState(2))))),
+            PAIR16]
 
 
 @pytest.mark.parametrize("state", SINGLE_MODE + TWO_MODE,
@@ -305,6 +311,10 @@ def test_chi_normal_stays_finite_where_chi_underflows():
     assert cmath.isfinite(cat_state(2.0, 0.0).chi_normal(40))
     with pytest.raises(OverflowError):
         cat_state(2.0, 0.0).chi_normal(400)  # about e^798
+    # the same in the split order, where the phases are taken apart
+    assert cmath.isfinite(SUP16.chi_normal(40))
+    with pytest.raises(OverflowError):
+        SUP16.chi_normal(np.array([1.0, 400.0]))
 
 def test_fock_chi_has_no_nan_where_laguerre_overflows():
     # warnings are errors, so an inf - inf or 0 * inf in the recurrence
@@ -784,6 +794,12 @@ def mixture_json(*parts):
      "mixture mixes single- and two-mode components"),
     (lambda: state_from_json(mixture_json()),
      "mixture needs at least one component"),
+    # a component that is no state is named as such, before the mode rule
+    (lambda: Mixture(((1.0, 5),)), "mixture components must be states, got int"),
+    (lambda: TwoModeMixture(((0.5, entangled_cat(1.0)), (0.5, "pair"))),
+     "mixture components must be states, got str"),
+    (lambda: state_from_json(mixture_json(FOCK_JSON, 5)),
+     "state JSON must be an object with a 'kind' field"),
 ])
 def test_constructors_name_the_refused_input(build, message):
     # each refusal here was reached by no test; a composite of the wrong
