@@ -31,6 +31,7 @@ from .states import (
 TRACE_TOL = 1e-6
 CONVERGENCE_TOL = 1e-9
 MAX_DIM = 4096  # largest per-mode cutoff built: twice the first one
+BUILD_ELEMENTS = 2 ** 18  # entries of D built per block of points
 _STACKED = "a stack of {} states has no oracle route; take one member"
 
 
@@ -286,39 +287,50 @@ def initial_dim(state) -> int:
     raise TypeError(f"unknown state {type(state).__name__}")
 
 
-def _converge(state, amplitudes, prepare) -> complex:
-    """prepare(state, d) on one build of D(amplitudes) at 2d, d the state's
-    initial_dim: the 2d value, when it and the d value are finite and agree
-    within CONVERGENCE_TOL. In this order: the cap on 2d, prepare (every
-    realization and leak check), the build, whose leading blocks are D at
-    smaller cutoffs (<m|D|n> does not depend on the cutoff), the check."""
+def _points(z) -> np.ndarray:
+    """Evaluation points as a complex array, all finite (cmath costs less
+    than np.isfinite on a scalar); the first bad one named as chi does."""
+    z = np.asarray(z, dtype=complex)
+    for x in z.ravel().tolist():
+        if not cmath.isfinite(x):
+            raise ValueError(f"amplitude must be finite, got {x}")
+    return z
+
+
+def _converge(state, points, prepare) -> np.ndarray:
+    """The 2d values of prepare(state, d) at (P,) points of chi or (P, 2) of
+    chi2, d = initial_dim(state), each checked in point order: finite at d
+    (D's leading block) and 2d, and within CONVERGENCE_TOL. The cap on 2d and
+    prepare (realization, leak checks) run once, before the first block."""
     d = initial_dim(state)
     if 2 * d > MAX_DIM:
         raise TruncationError(2 * d, math.nan,
                               f"first cutoff dim={d} needs dim={2 * d}, "
                               f"above MAX_DIM={MAX_DIM}")
-    evaluate = prepare(state, d)
-    values = evaluate(displacement_matrix(amplitudes, 2 * d))
-    for dim, val in zip((d, 2 * d), values):
-        if not cmath.isfinite(val):
-            raise TruncationError(dim, math.nan,
-                                  f"dim={dim} gives the non-finite value {val}")
-    delta = abs(values[1] - values[0])
-    if delta >= CONVERGENCE_TOL:
-        raise TruncationError(2 * d, math.nan,
-                              f"dim={d} and {2 * d} differ by {delta:.3e} >= "
-                              f"CONVERGENCE_TOL={CONVERGENCE_TOL:.1e}")
-    return values[1]
+    evaluate, out = prepare(state, d), np.empty(len(points), complex)
+    step = max(1, BUILD_ELEMENTS // (points.ndim * 4 * d * d))  # ndim D's each
+    for i in range(len(points)):
+        if i % step == 0:  # one build per block: cheaper than a generator
+            built = displacement_matrix(points[i:i + step], 2 * d)
+        values = evaluate(built[i % step])
+        for dim, val in zip((d, 2 * d), values):
+            if not cmath.isfinite(val):
+                raise TruncationError(dim, math.nan, f"dim={dim} gives the "
+                                      f"non-finite value {val}")
+        if (delta := abs(values[1] - values[0])) >= CONVERGENCE_TOL:
+            raise TruncationError(2 * d, math.nan,
+                                  f"dim={d} and {2 * d} differ by {delta:.3e}"
+                                  f" >= CONVERGENCE_TOL={CONVERGENCE_TOL:.1e}")
+        out[i] = values[1]
+    return out
 
 
 def oracle_chi(state: SingleModeState, alpha: complex) -> complex:
     """chi(alpha) by direct tr{D(alpha) rho}, as vdot(V, D V) + diag(D).p
     for rho = V V^dagger + diag(p), at the state's cutoff checked against
-    its doubling; elementwise over an ndarray."""
-    if isinstance(alpha, np.ndarray):
-        return np.vectorize(lambda a: oracle_chi(state, a),
-                            otypes=[complex])(alpha)
-    return _converge(state, alpha, _at_cutoffs)
+    its doubling; one run over an array of points, of its shape."""
+    a = _points(alpha)
+    return _converge(state, a.ravel(), _at_cutoffs).reshape(a.shape)[()]
 
 
 def _chi2_structured(state, d: int):
@@ -355,8 +367,8 @@ def _pair_contract(operators, c, u, z) -> complex:
 
 def oracle_chi2(state: TwoModeState, alpha: complex, beta: complex) -> complex:
     """Two-mode chi by truncated matrix elements, at the state's per-mode
-    cutoff checked against its doubling; elementwise over ndarrays."""
-    if isinstance(alpha, np.ndarray) or isinstance(beta, np.ndarray):
-        return np.vectorize(lambda a, b: oracle_chi2(state, a, b),
-                            otypes=[complex])(alpha, beta)
-    return _converge(state, (alpha, beta), _chi2_structured)
+    cutoff checked against its doubling; one run over broadcast points."""
+    a = np.empty(np.broadcast(alpha, beta).shape + (2,), complex)
+    a[..., 0], a[..., 1] = alpha, beta
+    return _converge(state, _points(a).reshape(-1, 2),
+                     _chi2_structured).reshape(a.shape[:-1])[()]

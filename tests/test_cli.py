@@ -180,20 +180,39 @@ def test_chi_verify_large_cutoffs(capsys, monkeypatch):
 
 
 def test_chi_verify_stops_at_the_first_discrepancy(capsys, monkeypatch):
-    # the oracle runs point by point up to the first offending one, and
-    # nothing is written
+    # one oracle run over every point; the first offending point is named,
+    # and nothing is written
     calls = []
 
     def off_at_second(state, alpha):
-        calls.append(alpha)
-        return state.chi(alpha) + (1e-6 if len(calls) == 2 else 0.0)
+        calls.append(alpha.tolist())
+        return state.chi(alpha) + np.array([0.0, 1e-6, 0.0])
 
     monkeypatch.setattr(oracle, "oracle_chi", off_at_second)
     code, out, err = run(capsys, "chi", "--state", "fock:1", "--verify",
                          "--alpha", "0.5", "--alpha", "1/1", "--alpha", "2")
     assert (code, out) == (3, "")
-    assert calls == [0.5, 1 + 1j]
+    assert calls == [[0.5, 1 + 1j, 2]]
     assert "oracle discrepancy 1e-06 at alpha=(1+1j)" in err
+
+
+def test_chi_verify_refusal_outranks_an_earlier_discrepancy(capsys,
+                                                            monkeypatch):
+    # the oracle refuses alpha = 0 (its d and 2d values differ by 6.3e-7)
+    # and accepts alpha = 2 (2.2e-8); with every delta a discrepancy, the
+    # one run's refusal of the second point exits 2 before any delta at
+    # the first is compared
+    monkeypatch.setattr(oracle, "initial_dim", lambda state: 13)
+    monkeypatch.setattr(oracle, "CONVERGENCE_TOL", 1e-7)
+    monkeypatch.setattr(cli, "VERIFY_TOL", -1.0)
+    code, out, err = run(capsys, "chi", "--state", "thermal:0.5", "--verify",
+                         "--alpha", "2", "--alpha", "0")
+    assert (code, out) == (2, "")
+    assert "error: dim=13 and 26 differ by 6.272e-07 >= " in err
+    code, out, err = run(capsys, "chi", "--state", "thermal:0.5", "--verify",
+                         "--alpha", "2")
+    assert (code, out) == (3, "")
+    assert "oracle discrepancy" in err
 
 
 def test_chi_grid(capsys):

@@ -257,7 +257,7 @@ def test_pair_run_compares_its_first_cutoff_with_the_doubling(monkeypatch):
     monkeypatch.setattr(oracle, "initial_dim", lambda state: 2)
     with pytest.raises(TruncationError, match="dim=2 and 4 differ by") as exc:
         oracle_chi2(entangled_cat(1.0, +1), 0.3, 0.2j)
-    assert exc.value.dim == 4 and builds == [((2,), 4)]
+    assert exc.value.dim == 4 and builds == [((1, 2), 4)]
 
 
 @pytest.mark.parametrize("d, error", [
@@ -284,19 +284,102 @@ def test_loss_checks_its_first_cutoff_on_the_lossy_state(monkeypatch, d,
         assert oracle.CONVERGENCE_TOL < err < 1e-8
 
 
-def test_oracle_is_elementwise_over_arrays():
-    # an ndarray of points keeps its shape, each entry its scalar call's value
-    alpha = np.array([[0.3 + 0.1j, -0.8], [1.1j, 0.0]])
-    state = cat_state(1.2, 0.4)
-    got = oracle_chi(state, alpha)
-    assert got.shape == (2, 2) and got.dtype == complex
-    for idx in np.ndindex(alpha.shape):
-        assert got[idx] == oracle_chi(state, complex(alpha[idx]))
-    pair = entangled_cat(1.0, -1)
-    got = oracle_chi2(pair, alpha, 0.4j)
-    assert got.shape == (2, 2) and got.dtype == complex
-    for idx in np.ndindex(alpha.shape):
-        assert got[idx] == oracle_chi2(pair, complex(alpha[idx]), 0.4j)
+_ELEMENTWISE = [
+    (cat_state(1.2, 0.4), oracle_chi),
+    (decohere(cat_state(1.2, 0.4), 0.3, 0.0), oracle_chi),
+    (Mixture(((0.5, FockState(3)), (0.5, cat_state(2.0, 0.0)))), oracle_chi),
+    (entangled_cat(1.0, -1), oracle_chi2),
+    (ProductState(cat_state(1.0, 0.3), ThermalState(0.5)), oracle_chi2),
+]
+
+
+@pytest.mark.parametrize("points_per_block", [None, 5])
+def test_oracle_is_elementwise_over_arrays(monkeypatch, points_per_block):
+    # an array of points keeps its shape, each entry its scalar call's value
+    # bit for bit: in one build, or with BUILD_ELEMENTS cut to 5 points of
+    # chi (2 of chi2) over several
+    alpha = np.array([[0.3 + 0.1j, -0.8, 1.1j, 0.0],
+                      [1.5 - 0.5j, -0.2j, 0.7 + 1.3j, -1.9],
+                      [0.05, -1.1 - 1.1j, 2.0j, 0.6 - 0.9j]])
+    beta = np.array([0.4j, -0.3, 0.0, 1.2 + 0.2j])
+    for state, run in _ELEMENTWISE:
+        args = (alpha,) if run is oracle_chi else (alpha, beta)
+        modes, dim = len(args), 2 * initial_dim(state)
+        with monkeypatch.context() as mp:
+            if points_per_block:
+                mp.setattr(oracle, "BUILD_ELEMENTS",
+                           points_per_block * dim ** 2)
+            builds, _ = _record_builds(mp)
+            got = run(state, *args)
+        step = points_per_block // modes if points_per_block else alpha.size
+        blocks = [min(step, alpha.size - i) for i in range(0, alpha.size, step)]
+        assert builds == [((n, 2)[:modes], dim) for n in blocks]
+        assert got.shape == alpha.shape and got.dtype == complex
+        for idx in np.ndindex(alpha.shape):
+            scalar = run(state, *(complex(np.broadcast_to(x, alpha.shape)[idx])
+                                  for x in args))
+            assert got[idx] == scalar
+
+
+def test_a_later_block_raises_its_points_scalar_error(monkeypatch):
+    # at first cutoff 13 the thermal state's d and 2d values differ by
+    # 2.2e-8 to 5.5e-8 at |alpha| >= 2, and by 6.3e-7 at 0: blocks of two
+    # points run up to the third, whose point 0 raises as its scalar call
+    state, points = ThermalState(0.5), np.array([2.0, 3.0, 4.0, 6.0, 0.0])
+    monkeypatch.setattr(oracle, "initial_dim", lambda state: 13)
+    monkeypatch.setattr(oracle, "CONVERGENCE_TOL", 1e-7)
+    monkeypatch.setattr(oracle, "BUILD_ELEMENTS", 2 * 26 ** 2)
+    passing = oracle_chi(state, points[:-1])
+    assert passing.tolist() == [oracle_chi(state, z) for z in points[:-1]]
+    with pytest.raises(TruncationError) as scalar:
+        oracle_chi(state, 0.0)
+    builds, _ = _record_builds(monkeypatch)
+    with pytest.raises(TruncationError) as exc:
+        oracle_chi(state, points)
+    assert str(exc.value) == str(scalar.value)
+    assert str(exc.value).startswith("dim=13 and 26 differ by 6.272e-07")
+    assert exc.value.dim == scalar.value.dim == 26
+    assert builds == [((2,), 26), ((2,), 26), ((1,), 26)]
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: oracle_chi(decohere(cat_state(1, 0), 0.3, 0.5), np.array([])),
+     "no independent Fock-space path for thermal decoherence"),
+    (lambda: oracle_chi(cat_state(60, 0), np.zeros((0, 3))),
+     "first cutoff dim=4175 needs dim=8350, above MAX_DIM=4096"),
+    (lambda: oracle_chi2(entangled_cat(np.array([1.0, 2.0])), np.array([]),
+                         0.1),
+     "a stack of 2 states has no oracle route; take one member"),
+])
+def test_no_points_are_refused_as_one_point_is(run, message):
+    # the cap, realization and stack refusals run before the first block
+    with pytest.raises(ValueError, match=message):
+        run()
+
+
+def test_no_points_give_an_empty_array_of_their_shape():
+    got = oracle_chi(cat_state(1.0, 0.0), np.zeros((0, 3)))
+    assert got.shape == (0, 3) and got.dtype == complex
+    got = oracle_chi2(entangled_cat(1.0), np.zeros((2, 0)), 0.1)
+    assert got.shape == (2, 0) and got.dtype == complex
+
+
+def test_oracle_takes_a_list_and_refuses_non_finite_points(monkeypatch):
+    state = cat_state(1.0, 0.0)
+    got = oracle_chi(state, [0.1, 0.2])
+    assert got.tolist() == [oracle_chi(state, 0.1), oracle_chi(state, 0.2)]
+    assert oracle_chi2(entangled_cat(1.0), [0.1, 0.2], 0.3).tolist() == [
+        oracle_chi2(entangled_cat(1.0), a, 0.3) for a in (0.1, 0.2)]
+    # a non-finite point is refused before any realization, in the closed
+    # forms' words, not blamed on the cutoff
+    realized = _record_realizations(monkeypatch)
+    with pytest.raises(ValueError,
+                       match=r"^amplitude must be finite, got \(nan\+0j\)$"):
+        oracle_chi(state, math.nan)
+    with pytest.raises(ValueError,
+                       match=r"^amplitude must be finite, got \(inf\+0j\)$"):
+        oracle_chi2(entangled_cat(1.0), 0.1, [0.2, math.inf])
+    assert realized == []
 
 
 def test_fock_chi_zero_point():
@@ -321,7 +404,7 @@ def test_truncation_error_stays_within_max_dim(monkeypatch):
     differ = r"dim=2 and 4 differ by .* >= CONVERGENCE_TOL=0\.0"
     with pytest.raises(TruncationError, match=differ) as exc:
         oracle_chi(FockState(1), 0.5)
-    assert exc.value.dim == 4 and builds == [((), 4)]
+    assert exc.value.dim == 4 and builds == [((1,), 4)]
     monkeypatch.setattr(oracle, "_contract",
                         lambda op, *operands: complex("nan"))
     with pytest.raises(TruncationError, match="non-finite") as exc:
@@ -498,7 +581,7 @@ def test_factor_route_equals_dense_route(state):
         return lambda operator: [expval(operator[:n, :n], rho[:n, :n])
                                  for n in (d, 2 * d)]
 
-    dense = oracle._converge(state, a, dense_at)
+    dense, = oracle._converge(state, np.array([a]), dense_at)
     assert abs(oracle_chi(state, a) - dense) <= 1e-14
 
 
@@ -587,7 +670,7 @@ def test_convergence_run_builds_once_at_twice_the_first_cutoff(monkeypatch):
     state = cat_state(1.0, 0.0)
     d = initial_dim(state)
     assert oracle_chi(state, a) == pytest.approx(state.chi(a), abs=1e-9)
-    assert visited == [d, 2 * d] and builds == [((), 2 * d)]
+    assert visited == [d, 2 * d] and builds == [((1,), 2 * d)]
     assert realized == [(state, 2 * d)]  # one realization, read at d and 2d
 
     builds.clear()
@@ -613,7 +696,7 @@ def test_convergence_run_builds_once_at_twice_the_first_cutoff(monkeypatch):
     state = entangled_cat(1.0, +1)
     d = initial_dim(state)
     assert oracle_chi2(state, a, b) == pytest.approx(state.chi2(a, b), abs=1e-9)
-    assert visited == [d, 2 * d] and builds == [((2,), 2 * d)]
+    assert visited == [d, 2 * d] and builds == [((1, 2), 2 * d)]
     assert vectors == [2 * d, 2 * d] and realized == []  # a pair is not
 
     # a product: each factor realized once, at twice its own first cutoff,
@@ -628,7 +711,7 @@ def test_convergence_run_builds_once_at_twice_the_first_cutoff(monkeypatch):
     assert dl != dr
     state = ProductState(left, right)
     assert oracle_chi2(state, a, b) == pytest.approx(state.chi2(a, b), abs=1e-9)
-    assert builds == [((2,), 2 * max(dl, dr))]
+    assert builds == [((1, 2), 2 * max(dl, dr))]
     assert realized == [(left, 2 * dl), (right, 2 * dr)]
     assert sizes == [dl, 2 * dl, dr, 2 * dr]
 
@@ -649,7 +732,7 @@ def test_no_build_above_max_dim(monkeypatch):
     monkeypatch.setattr(oracle, "CONVERGENCE_TOL", 0.0)
     with pytest.raises(TruncationError, match="dim=24 and 48 differ by"):
         oracle_chi(FockState(23), 0.5)
-    assert builds == [((), 48)]
+    assert builds == [((1,), 48)]
 
 
 def _reads(state, d):
@@ -764,7 +847,7 @@ def test_first_cutoff_converges_at_its_doubling(case):
     assert realized == [(s, 2 * n) for s, n in reads if s is not None]
     assert visited == [dim for _, n in reads for dim in (n, 2 * n)]
     assert max(n for _, n in reads) <= d
-    shape = () if len(amplitudes) == 1 else (2,)
+    shape = (1,) if len(amplitudes) == 1 else (1, 2)
     assert builds == [(shape, 2 * d)]
     assert abs(got - want) <= 1e-9
 
